@@ -341,46 +341,10 @@ def _cmd_bench_refresh(args) -> int:
     return 0
 
 
-def _cmd_bench_shard_tree(args) -> int:
-    import json
-
-    from repro.experiments.shard_tree import run_shard_tree_benchmark
-
-    result = run_shard_tree_benchmark(
-        shards=args.shards,
-        queries=args.queries,
-        repeats=args.repeats,
-    )
-    rows = [
-        ["flat sum (O(S)/query)", result.flat_seconds],
-        ["dyadic tree (O(log S)/query)", result.tree_seconds],
-        ["prefix diff (O(1)/query, O(S) rebuild)", result.prefix_seconds],
-    ]
-    print(
-        format_table(
-            ["interior strategy", "seconds"],
-            rows,
-            title=(
-                f"Interior answering ({result.shards} shards, depth "
-                f"{result.tree_depth}, {result.queries} ranges)"
-            ),
-        )
-    )
-    print(
-        f"speedup: {result.speedup:.1f}x   "
-        f"bit-identical: {result.bit_identical}"
-    )
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(result.to_dict(), handle, indent=2)
-        print(f"result written to {args.output}")
-    return 0
-
-
 def _cmd_compact(args) -> int:
     import json
 
-    from repro.experiments.shard_tree import run_compaction_demo
+    from repro.experiments.sharding import run_compaction_demo
 
     result = run_compaction_demo(
         row_count=args.rows,
@@ -922,18 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_resilience_arguments(bench_refresh)
     bench_refresh.set_defaults(handler=_cmd_bench_refresh)
-
-    bench_shard_tree = commands.add_parser(
-        "bench-shard-tree",
-        help="time O(log S) dyadic interior answering against the flat sum",
-    )
-    bench_shard_tree.add_argument("--shards", type=int, default=4096)
-    bench_shard_tree.add_argument("--queries", type=int, default=4096)
-    bench_shard_tree.add_argument("--repeats", type=int, default=3)
-    bench_shard_tree.add_argument(
-        "--output", help="also write the result as JSON to this path"
-    )
-    bench_shard_tree.set_defaults(handler=_cmd_bench_shard_tree)
 
     compact = commands.add_parser(
         "compact",

@@ -43,9 +43,7 @@ from repro.engine.optimizer import (
     ObservedWorkload,
     run_optimization,
 )
-from repro.engine.shard_tree import DyadicShardTree
 from repro.engine.sharding import (
-    INTERIOR_MODES,
     ShardedSynopsis,
     build_sharded,
     shard_boundaries,
@@ -82,8 +80,6 @@ __all__ = [
     "ShardedSynopsis",
     "build_sharded",
     "shard_boundaries",
-    "DyadicShardTree",
-    "INTERIOR_MODES",
     "BackgroundCompactor",
     "CompactionPolicy",
     "plan_runs",

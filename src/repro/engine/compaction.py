@@ -3,8 +3,8 @@
 Under streaming ingest a sharded column's heat distribution skews hard:
 appends land in a few hot shards (usually the domain tail) while the
 bulk of the shard array goes cold.  Keeping every cold shard at full
-resolution wastes per-shard fixed overhead and keeps the dyadic tree
-deeper than the data needs.  The t-digest "continuous aggregate" move
+resolution wastes per-shard fixed overhead (one synopsis, one budget
+and one boundary partial per shard).  The t-digest "continuous aggregate" move
 is to fold cold runs into coarser *mergeable* summaries without ever
 stopping ingest — here that is
 :meth:`repro.engine.sharding.ShardedSynopsis.with_compacted_runs`:

@@ -785,17 +785,9 @@ class ApproximateQueryEngine(BatchExecutionMixin, JointSynopsisMixin, GroupedSyn
         self._shard_heat.pop(key, None)
         self._quarantined.discard(key)
         self._invalidate_predictions(key)
-        self._observe_shard_tree(key, entry.count_estimator)
         self._record_build(
             key, entry.method, elapsed, requested=method, rung=outcome["rung"]
         )
-
-    def _observe_shard_tree(self, key: tuple[str, str], estimator) -> None:
-        """Export one sharded synopsis's dyadic-tree depth as a gauge."""
-        if isinstance(estimator, ShardedSynopsis):
-            self.metrics.gauge(
-                "shard_tree_depth", table=key[0], column=key[1]
-            ).set(estimator.tree_depth)
 
     def _record_build(
         self,
@@ -962,9 +954,17 @@ class ApproximateQueryEngine(BatchExecutionMixin, JointSynopsisMixin, GroupedSyn
         :meth:`refresh_stale` rebuilds just them.  Values outside the
         synopsis's domain (or new distinct values on a rank-layout
         column) change the domain itself, so every shard is dirtied.
+
+        Malformed rows (missing or extra columns, ragged lengths,
+        non-numeric or NaN/inf values) raise
+        :class:`~repro.errors.InvalidDataError` before any state
+        changes; a zero-row append is a no-op.
         """
         table = self.table(table_name)
-        self._tables[table_name] = table.with_appended(rows)
+        appended = table.with_appended(rows)
+        if appended is table:
+            return
+        self._tables[table_name] = appended
         self._bump_table_version(table_name)
         for key in [key for key in self._fallback_models if key[0] == table_name]:
             del self._fallback_models[key]
@@ -1160,7 +1160,6 @@ class ApproximateQueryEngine(BatchExecutionMixin, JointSynopsisMixin, GroupedSyn
         self._bump("compacted_shards", merged)
         self.metrics.counter("compaction_runs_total").inc()
         self.metrics.counter("compaction_shards_merged_total").inc(merged)
-        self._observe_shard_tree(key, count_est)
         stale_since = (self._build_meta.get(key) or {}).get("stale_since")
         self._record_build(key, entry.method, span.duration or 0.0)
         if key in self._stale:
@@ -1348,18 +1347,6 @@ class ApproximateQueryEngine(BatchExecutionMixin, JointSynopsisMixin, GroupedSyn
                 on_shard_built=_observe_shard,
                 **entry.builder_kwargs,
             )
-            # Each rebuilt shard rewrites its leaf + ancestors in both
-            # aggregates' dyadic trees: O(log S) nodes per shard instead
-            # of the O(S) prefix recompute the flat path pays.
-            refreshed_nodes = len(dirty) * (
-                count_est.tree.nodes_per_update + sum_est.tree.nodes_per_update
-            )
-            span.set(
-                tree_nodes_refreshed=refreshed_nodes,
-                tree_depth=count_est.tree_depth,
-            )
-        self.metrics.counter("shard_tree_node_refreshes_total").inc(refreshed_nodes)
-        self._observe_shard_tree(key, count_est)
         predicted = None
         if self.predict_errors:
             predicted = {

@@ -410,7 +410,6 @@ def _optimize_shards_for_key(
         predicted=predicted,
     )
     engine._invalidate_predictions(key)
-    engine._observe_shard_tree(key, count_est)
     engine.metrics.counter("optimizer_reallocations_total").inc()
     engine.metrics.counter("optimizer_rebuilds_total").inc(rebuilt)
     stale_since = (engine._build_meta.get(key) or {}).get("stale_since")

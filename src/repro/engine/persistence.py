@@ -33,6 +33,10 @@ them; ``refresh_stale`` rebuilds the real thing), otherwise the entry
 is skipped.  A corrupted file never raises an unhandled numpy or zip
 error — only :class:`~repro.errors.SerializationError` when the whole
 container is unreadable.
+
+Format version 4 adds each sharded entry's compaction lineage.  Files
+from earlier v4 writers also carry a dyadic sum-tree over the shard
+totals; load checks it against the totals and drops it.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ import numpy as np
 from repro.core.builders import ErrorPrediction, aggregate_shard_predictions
 from repro.engine.column import ColumnStatistics
 from repro.engine.engine import ApproximateQueryEngine, _ColumnSynopses
-from repro.engine.shard_tree import DyadicShardTree
 from repro.engine.sharding import ShardedSynopsis
 from repro.engine.storage import deserialize_estimator, serialize_estimator
 from repro.errors import InvalidParameterError, SerializationError
@@ -111,18 +114,38 @@ def _save_sharded(
         ),
     }
     if version >= 4:
-        # Format v4: the dyadic tree's level arrays (each CRC-verified
-        # like every other array), the interior-answering mode, and the
-        # compaction lineage ride along so a restart resumes exactly the
-        # geometry and history it saved — no tree rebuild, no forgotten
-        # compaction generations.
-        for level, nodes in enumerate(sharded.tree.levels):
-            arrays[f"{prefix}_tree_level{level}"] = nodes
-        row["interior"] = sharded.interior
-        row["tree_levels"] = len(sharded.tree.levels)
-        row["tree_size"] = sharded.tree.size
+        # Format v4: the compaction lineage rides along so a restart
+        # never forgets a compaction generation.
         row["lineage"] = sharded.lineage
     return row
+
+
+def _check_legacy_tree(archive, prefix: str, meta: dict, totals: np.ndarray) -> None:
+    """Verify the dyadic sum-tree levels older v4 writers stored.
+
+    Level 0 must be the shard totals zero-padded to a power of two and
+    each level the pairwise sums of the one below; anything else means
+    the entry is damaged.  The levels carry nothing the totals do not,
+    so once checked they are dropped.
+    """
+    level = np.zeros(1 << (totals.size - 1).bit_length(), dtype=np.float64)
+    level[: totals.size] = totals
+    expected = [level]
+    while level.size > 1:
+        level = level[0::2] + level[1::2]
+        expected.append(level)
+    stored = [
+        archive[f"{prefix}_tree_level{index}"]
+        for index in range(int(meta["tree_levels"]))
+    ]
+    if (
+        meta.get("tree_size") != totals.size
+        or len(stored) != len(expected)
+        or not all(map(np.array_equal, stored, expected))
+    ):
+        raise SerializationError(
+            f"persisted shard tree {prefix!r} does not match the shard totals"
+        )
 
 
 def _load_sharded(archive, prefix: str, meta: dict) -> ShardedSynopsis:
@@ -138,39 +161,18 @@ def _load_sharded(archive, prefix: str, meta: dict) -> ShardedSynopsis:
         if raw_predictions is None
         else [_prediction_from_json(p) for p in raw_predictions]
     )
-    tree = None
-    if "tree_levels" in meta:
-        try:
-            tree = DyadicShardTree.from_levels(
-                [
-                    archive[f"{prefix}_tree_level{level}"]
-                    for level in range(int(meta["tree_levels"]))
-                ],
-                int(meta["tree_size"]),
-            )
-        except InvalidParameterError as error:
-            raise SerializationError(
-                f"persisted shard tree {prefix!r} is malformed: {error}"
-            ) from error
-        if not tree.check_invariant():
-            raise SerializationError(
-                f"persisted shard tree {prefix!r} violates the "
-                "node-equals-sum-of-children invariant"
-            )
-    # Pre-v4 catalogs carry no tree: ShardedSynopsis rebuilds it from
-    # the persisted totals (it is derived state), defaulting to tree
-    # answering so old catalogs get the O(log S) path on load.
-    return ShardedSynopsis(
+    sharded = ShardedSynopsis(
         starts,
         estimators,
         archive[f"{prefix}_totals"],
         archive[f"{prefix}_budgets"],
         meta["method"],
         shard_predictions=predictions,
-        interior=meta.get("interior", "tree"),
-        tree=tree,
         lineage=meta.get("lineage"),
     )
+    if "tree_levels" in meta:
+        _check_legacy_tree(archive, prefix, meta, sharded.totals)
+    return sharded
 
 
 def serialize_catalog(
@@ -188,11 +190,10 @@ def serialize_catalog(
     Stale synopses are written as-is; sharded entries also record their
     dirty-shard flags (``"all"`` when the whole domain must rebuild),
     monolithic staleness is a session property and is dropped.  Format
-    v4 additionally persists each sharded entry's dyadic shard tree,
-    interior-answering mode, and compaction lineage.
+    v4 additionally persists each sharded entry's compaction lineage.
 
     ``version`` selects the layout for regression testing of old-format
-    loads (v2: no checksums, no tree; v3: checksums, no tree);
+    loads (v2: no checksums; v3: checksums, no lineage);
     production callers leave it at :data:`FORMAT_VERSION`.
     """
     version = int(version)

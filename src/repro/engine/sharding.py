@@ -12,9 +12,11 @@ across shards proportionally to per-shard mass), and answers a range sum
               + estimated partial sums from the <= 2 boundary shards
 
 Shard-aligned cuts therefore answer *exactly* (no interior error, no
-partials), and an arbitrary range pays only the usual synopsis error
-inside the at-most-two boundary shards.  Because the class implements
-the :class:`~repro.queries.estimators.RangeSumEstimator` protocol, it
+partials; bitwise equal to a scan when the totals are integer-valued,
+within float rounding otherwise), and an arbitrary range pays only the
+usual synopsis error inside the at-most-two boundary shards.  Because
+the class implements the
+:class:`~repro.queries.estimators.RangeSumEstimator` protocol, it
 drops into every existing engine path — scalar execute, the vectorised
 batch pipeline, quantile inversion, and the online auditor — unchanged.
 
@@ -40,19 +42,9 @@ from repro.core.builders import (
     predict_sse_per_query,
     split_budget_by_mass,
 )
-from repro.engine.shard_tree import DyadicShardTree
 from repro.errors import InvalidParameterError
 from repro.internal.faults import fault_point
 from repro.queries.estimators import RangeSumEstimator
-
-#: Interior-answering modes: ``"tree"`` resolves fully-covered shards
-#: through the :class:`~repro.engine.shard_tree.DyadicShardTree`
-#: (O(log S) per query, O(log S) maintenance per rebuilt shard);
-#: ``"flat"`` keeps the legacy cumulative-prefix array (O(S) to rebuild
-#: on every refresh).  Answers are bit-identical on integer-valued
-#: totals — the differential suites pin that.
-INTERIOR_MODES = ("tree", "flat")
-
 
 class _kernel_pool:
     """Context manager yielding builder kwargs with a shared kernel pool.
@@ -144,8 +136,6 @@ class ShardedSynopsis(RangeSumEstimator):
         method: str,
         shard_predictions=None,
         *,
-        interior: str = "tree",
-        tree: DyadicShardTree | None = None,
         lineage=None,
     ) -> None:
         self.starts = np.asarray(starts, dtype=np.int64)
@@ -175,27 +165,15 @@ class ShardedSynopsis(RangeSumEstimator):
         self.shard_predictions = (
             list(shard_predictions) if shard_predictions is not None else None
         )
-        if interior not in INTERIOR_MODES:
-            raise InvalidParameterError(
-                f"interior must be one of {INTERIOR_MODES}, got {interior!r}"
-            )
-        self.interior = interior
-        if tree is None:
-            tree = DyadicShardTree(self.totals)
-        elif tree.size != self.num_shards:
-            raise InvalidParameterError(
-                f"tree indexes {tree.size} shards, synopsis has {self.num_shards}"
-            )
-        #: Dyadic index over the frozen totals; the interior-answering
-        #: engine in ``"tree"`` mode and the maintenance fast path of
-        #: :meth:`with_rebuilt_shards` both live here.  Derived state —
-        #: reconstructible from ``totals`` — so it is excluded from the
-        #: paper's storage accounting, like the prefix array before it.
-        self.tree = tree
         #: Compaction history: one record per :meth:`with_compacted_runs`
         #: generation (persisted by catalog format v4).
         self.lineage: list[dict] = list(lineage) if lineage is not None else []
         self.n = int(self.starts[-1])
+        #: ``P[i]`` = sum of the first ``i`` shard totals, so every
+        #: interior run is one prefix difference (the paper's
+        #: ``s[a, b] = P[b] - P[a - 1]`` lifted to shards).  Derived
+        #: state, rebuilt in O(S) by every constructor and excluded from
+        #: the paper's storage accounting.
         self._totals_prefix = np.concatenate(([0.0], np.cumsum(self.totals)))
 
     # ------------------------------------------------------------------
@@ -214,29 +192,15 @@ class ShardedSynopsis(RangeSumEstimator):
         return slice(int(self.starts[shard]), int(self.starts[shard + 1]))
 
     @property
-    def tree_depth(self) -> int:
-        """Depth of the dyadic interior index (``ceil(log2(S))``)."""
-        return self.tree.depth
-
-    @property
     def compaction_generation(self) -> int:
         """How many compaction passes produced this geometry (0 = none)."""
         return len(self.lineage)
 
     def interior_sum_many(self, firsts, lasts) -> np.ndarray:
-        """Exact sums over fully-covered shard runs ``[first..last]``.
-
-        ``"tree"`` mode walks the dyadic index (O(log S) per query,
-        vectorised across the batch); ``"flat"`` mode keeps the legacy
-        cumulative-prefix difference.  On integer-valued totals the two
-        are bit-identical (every partial sum is an exact float64
-        integer); the differential suite pins that equivalence for
-        every builder in the registry.
-        """
+        """Exact sums over fully-covered shard runs ``[first..last]``:
+        one vectorised prefix difference per query."""
         firsts = np.asarray(firsts, dtype=np.int64)
         lasts = np.asarray(lasts, dtype=np.int64)
-        if self.interior == "tree":
-            return self.tree.range_sum_many(firsts, lasts)
         return self._totals_prefix[lasts + 1] - self._totals_prefix[firsts]
 
     def _coverage(self, lows: np.ndarray, highs: np.ndarray):
@@ -463,10 +427,6 @@ class ShardedSynopsis(RangeSumEstimator):
                     predictions[shard] = predict_sse_per_query(estimators[shard], piece)
                 if on_shard_built is not None:
                     on_shard_built(shard, elapsed)
-        # O(log S) per rebuilt shard: copy the dyadic index and rewrite
-        # only the changed leaves' ancestor paths, instead of
-        # recomputing an O(S) prefix from scratch.
-        tree, _ = self.tree.updated(dirty, totals[dirty])
         return ShardedSynopsis(
             self.starts,
             estimators,
@@ -474,8 +434,6 @@ class ShardedSynopsis(RangeSumEstimator):
             budgets,
             self.method,
             shard_predictions=predictions if predict else None,
-            interior=self.interior,
-            tree=tree,
             lineage=self.lineage,
         )
 
@@ -583,7 +541,6 @@ class ShardedSynopsis(RangeSumEstimator):
             budgets,
             self.method,
             shard_predictions=predictions if predict else None,
-            interior=self.interior,
             lineage=lineage,
         )
 
@@ -619,7 +576,6 @@ def build_sharded(
     predict: bool = False,
     on_shard_built=None,
     kernel_workers: int | None = None,
-    interior: str = "tree",
     **builder_kwargs,
 ) -> ShardedSynopsis:
     """Build a :class:`ShardedSynopsis` over a frequency vector.
@@ -680,5 +636,4 @@ def build_sharded(
         budgets,
         method,
         shard_predictions=predictions,
-        interior=interior,
     )

@@ -40,15 +40,38 @@ class Table:
         """A new table with ``rows`` appended to every column.
 
         ``rows`` must cover exactly this table's columns with
-        equal-length arrays.
+        equal-length 1-D arrays; a numeric column only accepts finite
+        numbers.  Anything else raises :class:`InvalidDataError` before
+        a new table exists.  A zero-row append returns ``self``.
         """
         if set(rows) != set(self.columns):
             raise InvalidDataError(
                 f"appended rows must cover exactly the columns "
                 f"{self.column_names()}, got {sorted(rows)}"
             )
+        appended = {name: np.asarray(rows[name]) for name in self.columns}
+        lengths = {name: values.size for name, values in appended.items()}
+        if len(set(lengths.values())) != 1:
+            raise InvalidDataError(
+                f"appended columns must have equal lengths, got {lengths}"
+            )
+        for name, values in appended.items():
+            if values.ndim != 1:
+                raise InvalidDataError(f"appended column {name!r} must be 1-D")
+            if values.size and self.columns[name].dtype.kind in "biuf":
+                if values.dtype.kind not in "biuf":
+                    raise InvalidDataError(
+                        f"appended column {name!r} must be numeric, "
+                        f"got dtype {values.dtype}"
+                    )
+                if not np.all(np.isfinite(values)):
+                    raise InvalidDataError(
+                        f"appended column {name!r} contains NaN or infinite values"
+                    )
+        if not next(iter(lengths.values())):
+            return self
         merged = {
-            name: np.concatenate((values, np.asarray(rows[name])))
+            name: np.concatenate((values, appended[name]))
             for name, values in self.columns.items()
         }
         return Table(self.name, merged)

@@ -1,8 +1,7 @@
 """Schema validation for the committed ``BENCH_*.json`` artifacts.
 
 Benchmark jobs write JSON artifacts (``BENCH_serve.json``,
-``BENCH_pool.json``, ``BENCH_shard_tree.json``,
-``BENCH_build_kernels.json``, ``BENCH_adaptive.json``, and the
+``BENCH_pool.json``, ``BENCH_build_kernels.json``, ``BENCH_adaptive.json``, and the
 coverage study's ``BENCH_coverage_intervals.json``) that CI uploads and
 later jobs/dashboards consume.  A benchmark refactor that silently
 drops or retypes a field breaks those consumers long after the PR
@@ -130,16 +129,6 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "engine_pickle_free": FieldSpec((bool,)),
         "segment_bytes": _positive_int(),
         "cache_hits": _count(),
-    },
-    "BENCH_shard_tree.json": {
-        "shards": _positive_int(),
-        "queries": _positive_int(),
-        "tree_depth": _count(),
-        "tree_seconds": _positive_number(),
-        "flat_seconds": _positive_number(),
-        "prefix_seconds": _nonnegative_number(),
-        "bit_identical": FieldSpec((bool,)),
-        "speedup": _positive_number(),
     },
     "BENCH_build_kernels.json": {
         "benchmark": FieldSpec((str,)),

@@ -7,7 +7,9 @@ time.  This harness appends a batch of rows confined to one shard's
 value range and times the sharded engine's dirty-shard refresh against
 the monolithic engine's full rebuild of the same column — the workload
 behind the ``bench-refresh`` CLI command and the sharded-refresh
-benchmark gate.
+benchmark gate.  :func:`run_compaction_demo` backs the ``compact`` CLI
+command: it folds the cold head of a hot-tail workload into coarser
+shards.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine.compaction import CompactionPolicy
 from repro.engine.engine import AggregateQuery, ApproximateQueryEngine
 from repro.engine.table import Table
 from repro.errors import InvalidParameterError
@@ -159,4 +162,110 @@ def run_refresh_benchmark(
         incremental_seconds=incremental_seconds,
         shards_rebuilt=shards_rebuilt,
         aligned_max_abs_error=aligned_max_abs_error,
+    )
+
+
+@dataclass(frozen=True)
+class CompactionDemoResult:
+    """Outcome of one policy-driven compaction pass over a hot-tail workload."""
+
+    shards_before: int
+    shards_after: int
+    shards_merged: int
+    generation: int
+    runs: list
+    heat: list
+    max_abs_drift: float
+
+    def summary(self) -> str:
+        return (
+            f"compacted {self.shards_before} -> {self.shards_after} shards "
+            f"({self.shards_merged} merged across {len(self.runs)} run(s), "
+            f"generation {self.generation}); max |answer drift| "
+            f"{self.max_abs_drift:.3g}"
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "shards_before": self.shards_before,
+            "shards_after": self.shards_after,
+            "shards_merged": self.shards_merged,
+            "generation": self.generation,
+            "runs": self.runs,
+            "heat": self.heat,
+            "max_abs_drift": self.max_abs_drift,
+        }
+
+
+def run_compaction_demo(
+    *,
+    row_count: int = 50_000,
+    domain: int = 1024,
+    shards: int = 32,
+    append_count: int = 2_000,
+    method: str = "a0",
+    budget_words: int = 8192,
+    hot_tail_shards: int = 4,
+    max_run_length: int = 8,
+    seed: int = 29,
+) -> CompactionDemoResult:
+    """Append into the domain tail, then compact the cold head.
+
+    Builds one sharded column, streams ``append_count`` rows whose
+    values live in the last shard's range (the classic time-series
+    hot tail), and runs the heat-driven compaction policy: the cold
+    head shards merge into coarser runs while the hot tail keeps its
+    resolution.  ``max_abs_drift`` compares shard-aligned answers on
+    the *surviving* boundaries before and after the compaction swap —
+    with an exact builder (the ``a0`` default at a generous budget) it
+    is ``0.0``.
+    """
+    if shards < 4 or domain < shards:
+        raise InvalidParameterError("need shards >= 4 and domain >= shards")
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, domain, row_count)
+    values[0], values[1] = 0, domain - 1
+    engine = ApproximateQueryEngine(predict_errors=False)
+    engine.register_table(Table("events", {"value": values}))
+    engine.build_synopsis(
+        "events", "value", method=method, budget_words=budget_words, shards=shards
+    )
+    synopsis = engine._synopses[("events", "value")].count_estimator
+    tail_low = int(synopsis.starts[-2])
+    engine.append_rows(
+        "events", {"value": rng.integers(tail_low, domain, append_count)}
+    )
+    heat = engine.shard_heat()["events.value"]
+
+    policy = CompactionPolicy(
+        hot_tail_shards=hot_tail_shards, max_run_length=max_run_length
+    )
+    before = engine._synopses[("events", "value")].count_estimator
+    queries = [
+        AggregateQuery("events", "value", "count", int(low), int(high))
+        for low, high in zip(before.starts[:-1:4], before.starts[4::4] - 1)
+    ]
+    answers_before = [
+        engine.execute(q, on_stale="serve").estimate for q in queries
+    ]
+    report = engine.compact_shards("events", "value", policy=policy)
+    if report is None:
+        raise InvalidParameterError(
+            "workload produced no cold runs; lower hot_tail_shards"
+        )
+    after = engine._synopses[("events", "value")].count_estimator
+    answers_after = [
+        engine.execute(q, on_stale="serve").estimate for q in queries
+    ]
+    drift = float(
+        np.max(np.abs(np.asarray(answers_after) - np.asarray(answers_before)))
+    )
+    return CompactionDemoResult(
+        shards_before=report["shards_before"],
+        shards_after=after.num_shards,
+        shards_merged=report["shards_merged"],
+        generation=report["generation"],
+        runs=report["runs"],
+        heat=heat,
+        max_abs_drift=drift,
     )

@@ -178,12 +178,14 @@ class TestWithCompactedRuns:
         assert second.lineage[1]["shards_before"] == first.num_shards
         assert second.compaction_generation == 2
 
-    def test_tree_rebuilt_for_the_new_geometry(self, data):
+    def test_prefix_rebuilt_for_the_new_geometry(self, data):
         synopsis = build_sharded("equi-depth", data, 64, 8, parallel=False)
         compacted = synopsis.with_compacted_runs([(0, 3)], data)
-        assert compacted.tree.size == compacted.num_shards
-        assert compacted.tree.check_invariant()
-        assert np.array_equal(compacted.tree.leaf_totals(), compacted.totals)
+        assert compacted._totals_prefix.size == compacted.num_shards + 1
+        assert np.array_equal(
+            compacted._totals_prefix,
+            np.concatenate(([0.0], np.cumsum(compacted.totals))),
+        )
 
     def test_rejects_empty_and_mismatched_inputs(self, data):
         synopsis = build_sharded("equi-depth", data, 64, 8, parallel=False)
@@ -285,10 +287,6 @@ class TestEngineCompaction:
         engine.compact_shards("t", "x", runs=[(0, 2)])
         assert engine.metrics.counter("compaction_runs_total").value == 1
         assert engine.metrics.counter("compaction_shards_merged_total").value == 2
-        depth = engine.metrics.gauge(
-            "shard_tree_depth", table="t", column="x"
-        ).value
-        assert depth == engine._synopses[("t", "x")].count_estimator.tree_depth
         spans = [span for span in engine.tracer.spans() if span.name == "compact"]
         assert len(spans) == 1
         assert spans[0].attributes["shards_before"] == 8

@@ -1,20 +1,28 @@
-"""Catalog format versions: v4 round trips, v2/v3 still load.
+"""Catalog format versions: v4 round trips, older layouts still load.
 
-Format v4 adds the dyadic shard tree, the interior mode, and the
-compaction lineage to each sharded entry.  These tests pin the
+Format v4 adds the compaction lineage to each sharded entry.  Earlier
+v4 writers also stored a dyadic sum-tree over the shard totals
+(``*_tree_level*`` arrays plus ``tree_levels``/``tree_size``/``interior``
+manifest keys).  ``fixtures/catalog_v4_tree.npz`` is such a file, saved
+from the ``_engine_with_lineage`` engine below by a writer that still
+emitted the tree; ``fixtures/catalog_v4_tree.json`` records that
+writer's answers (as float hex) and lineage.  These tests pin the
 compatibility contract both ways:
 
-* a v4 catalog round-trips tree + lineage bit-for-bit (no rebuild on
-  load, invariant verified);
-* catalogs written in the v2 and v3 layouts (no tree arrays; v2 also
-  without checksums) still load, with the tree rebuilt from the
-  persisted totals — answers identical, lineage (a v4-only record)
-  absent;
-* a damaged persisted tree quarantines the entry instead of serving
-  wrong interiors.
+* the tree-carrying v4 fixture loads with bitwise-identical answers and
+  its lineage intact, and today's v4 writer round-trips without tree
+  arrays;
+* catalogs written in the v2 and v3 layouts (no lineage; v2 also
+  without checksums) still load with identical answers;
+* a persisted tree level that disagrees with the shard totals, or is
+  missing, quarantines the entry instead of loading silently.
 """
 
+import io
 import json
+import pathlib
+import shutil
+import zlib
 
 import numpy as np
 import pytest
@@ -25,6 +33,8 @@ from repro.engine.persistence import FORMAT_VERSION, _SUPPORTED_VERSIONS
 from repro.errors import InvalidParameterError
 
 KEY = ("events", "value")
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+TREE_FIXTURE = FIXTURES / "catalog_v4_tree.npz"
 
 
 def _engine_with_lineage() -> ApproximateQueryEngine:
@@ -44,29 +54,48 @@ def _queries():
     ]
 
 
+def _fixture_record() -> dict:
+    return json.loads((FIXTURES / "catalog_v4_tree.json").read_text())
+
+
+def _fixture_copy(tmp_path) -> pathlib.Path:
+    path = tmp_path / "catalog.npz"
+    shutil.copyfile(TREE_FIXTURE, path)
+    return path
+
+
 def test_format_version_advanced_to_v4():
     assert FORMAT_VERSION == 4
     assert set(_SUPPORTED_VERSIONS) == {1, 2, 3, 4}
 
 
 def test_v4_round_trips_tree_and_lineage(tmp_path):
-    engine = _engine_with_lineage()
-    saved = engine._synopses[KEY].count_estimator
-    path = tmp_path / "catalog.npz"
-    save_catalog(engine, path)
-
+    record = _fixture_record()
     restored = ApproximateQueryEngine()
-    assert load_catalog(restored, path) == 1
+    assert load_catalog(restored, TREE_FIXTURE) == 1
+    assert restored.quarantined_synopses() == []
     loaded = restored._synopses[KEY].count_estimator
-    assert loaded.lineage == saved.lineage
+    assert loaded.lineage == record["lineage"]
     assert loaded.compaction_generation == 1
-    assert loaded.interior == saved.interior == "tree"
-    assert len(loaded.tree.levels) == len(saved.tree.levels)
-    for mine, theirs in zip(loaded.tree.levels, saved.tree.levels):
-        assert np.array_equal(mine, theirs)
-    assert loaded.tree.check_invariant()
-    for query in _queries():
-        assert restored.execute(query).estimate == engine.execute(query).estimate
+    for aggregate, low, high, answer in record["answers"]:
+        query = AggregateQuery("events", "value", aggregate, low, high)
+        assert restored.execute(query).estimate == float.fromhex(answer)
+
+    # Re-saving drops the tree: today's v4 layout carries lineage only.
+    path = tmp_path / "resaved.npz"
+    save_catalog(restored, path)
+    with np.load(path, allow_pickle=False) as archive:
+        manifest = json.loads(bytes(archive["manifest"]).decode("utf-8"))
+        assert not any("tree_level" in name for name in archive.files)
+    row = manifest["synopses"][0]["count_sharded"]
+    assert row["lineage"] == record["lineage"]
+    assert not {"tree_levels", "tree_size", "interior"} & set(row)
+    again = ApproximateQueryEngine()
+    assert load_catalog(again, path) == 1
+    assert again._synopses[KEY].count_estimator.lineage == record["lineage"]
+    for aggregate, low, high, answer in record["answers"]:
+        query = AggregateQuery("events", "value", aggregate, low, high)
+        assert again.execute(query).estimate == float.fromhex(answer)
 
 
 @pytest.mark.parametrize("version", [2, 3])
@@ -75,23 +104,19 @@ def test_legacy_layouts_still_load(tmp_path, version):
     path = tmp_path / f"catalog_v{version}.npz"
     save_catalog(engine, path, version=version)
 
-    # The file genuinely carries the old layout: no tree arrays, the
+    # The file genuinely carries the old layout: no lineage, the
     # manifest says so, and v2 has no checksum table at all.
     with np.load(path, allow_pickle=False) as archive:
         manifest = json.loads(bytes(archive["manifest"]).decode("utf-8"))
         assert manifest["version"] == version
         assert not any("tree_level" in name for name in archive.files)
-        assert "tree_levels" not in manifest["synopses"][0]["count_sharded"]
+        assert "lineage" not in manifest["synopses"][0]["count_sharded"]
         assert ("checksums" in manifest) == (version >= 3)
 
     restored = ApproximateQueryEngine()
     assert load_catalog(restored, path) == 1
     assert restored.quarantined_synopses() == []
     loaded = restored._synopses[KEY].count_estimator
-    # The tree is derived state: rebuilt from the persisted totals.
-    assert loaded.tree.check_invariant()
-    assert np.array_equal(loaded.tree.leaf_totals(), loaded.totals)
-    assert loaded.interior == "tree"
     assert loaded.lineage == []  # lineage is a v4-only record
     for query in _queries():
         assert restored.execute(query).estimate == engine.execute(query).estimate
@@ -108,48 +133,58 @@ def _rewrite_npz(path, mutate_arrays):
     with np.load(path, allow_pickle=False) as archive:
         arrays = {name: archive[name].copy() for name in archive.files}
     mutate_arrays(arrays)
-    import io
-
+    # Re-checksum every array so only the tree check can catch damage.
+    manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
+    manifest["checksums"] = {
+        name: zlib.crc32(np.ascontiguousarray(array).tobytes()) & 0xFFFFFFFF
+        for name, array in arrays.items()
+        if name != "manifest"
+    }
+    arrays["manifest"] = np.frombuffer(
+        json.dumps(manifest).encode("utf-8"), dtype=np.uint8
+    )
     buffer = io.BytesIO()
     np.savez_compressed(buffer, **arrays)
     path.write_bytes(buffer.getvalue())
 
 
-def test_corrupted_tree_level_quarantines_the_entry(tmp_path):
-    engine = _engine_with_lineage()
-    path = tmp_path / "catalog.npz"
-    save_catalog(engine, path)
-
-    def _break_tree(arrays):
-        level = arrays["0_count_tree_level1"]
-        level[0] += 1.0  # now != sum of its children
-        manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
-        # Re-checksum so only the *invariant* check can catch it.
-        import zlib
-
-        manifest["checksums"]["0_count_tree_level1"] = (
-            zlib.crc32(np.ascontiguousarray(level).tobytes()) & 0xFFFFFFFF
-        )
-        arrays["manifest"] = np.frombuffer(
-            json.dumps(manifest).encode("utf-8"), dtype=np.uint8
-        )
-
-    _rewrite_npz(path, _break_tree)
+def _assert_quarantined(path):
     restored = ApproximateQueryEngine()
     assert load_catalog(restored, path) == 1
     assert restored.quarantined_synopses() == [KEY]
     assert restored.stale_synopses() == [KEY]
 
 
+def test_corrupted_tree_level_quarantines_the_entry(tmp_path):
+    path = _fixture_copy(tmp_path)
+
+    def _break_tree(arrays):
+        arrays["0_count_tree_level1"][0] += 1.0  # now != sum of its children
+
+    _rewrite_npz(path, _break_tree)
+    _assert_quarantined(path)
+
+
+def test_tree_disagreeing_with_totals_quarantines_the_entry(tmp_path):
+    path = _fixture_copy(tmp_path)
+
+    def _shift_tree(arrays):
+        # Internally consistent (every node is the sum of its children)
+        # but no longer a tree over the persisted totals.
+        level = 0
+        while f"0_sum_tree_level{level}" in arrays:
+            arrays[f"0_sum_tree_level{level}"][0] += 1.0
+            level += 1
+
+    _rewrite_npz(path, _shift_tree)
+    _assert_quarantined(path)
+
+
 def test_truncated_tree_arrays_quarantine_the_entry(tmp_path):
-    engine = _engine_with_lineage()
-    path = tmp_path / "catalog.npz"
-    save_catalog(engine, path)
+    path = _fixture_copy(tmp_path)
 
     def _drop_level(arrays):
         del arrays["0_count_tree_level2"]
 
     _rewrite_npz(path, _drop_level)
-    restored = ApproximateQueryEngine()
-    assert load_catalog(restored, path) == 1
-    assert restored.quarantined_synopses() == [KEY]
+    _assert_quarantined(path)

@@ -5,7 +5,10 @@ shard-aligned ranges exactly — the decomposition identity makes them
 pure prefix-sum differences of frozen exact totals — (b) keep arbitrary
 ranges inside the deterministic error budget of the two boundary shards,
 and (c) return bit-identical answers down the scalar and batch engine
-paths.
+paths, on integer-valued columns and on float-valued 2-decimal prices.
+Float-valued aligned ranges are the prefix-array difference bitwise,
+but that difference is only exact up to float rounding (it sums the
+shard totals in a different order than a scan does).
 
 ``workload-a0`` is excluded: its ``workload=`` kwarg describes ranges
 over the *whole* domain, so a per-shard build would need the workload
@@ -31,6 +34,9 @@ BUDGETS = {"sketch-cm": 800}
 ENGINE_BUDGETS = {"sketch-cm": 8000}
 
 METHODS = sorted(name for name in BUILDER_REGISTRY if name not in UNSUPPORTED)
+# OPT-A's pseudo-polynomial DP needs integral frequencies; a price
+# column's SUM vector is not integral (opt-a-rounded covers that case).
+FLOAT_METHODS = [name for name in METHODS if name not in ("opt-a", "opt-a-reopt")]
 
 
 def _budget(method: str) -> int:
@@ -49,6 +55,13 @@ def sharded_by_method(data):
         method: build_sharded(method, data, _budget(method), SHARDS, parallel=False)
         for method in METHODS
     }
+
+
+@pytest.fixture(scope="module")
+def prices():
+    """48 distinct 2-decimal prices, sorted: a float-valued column axis."""
+    rng = np.random.default_rng(43)
+    return np.unique(np.round(rng.uniform(1.0, 100.0, 64), 2))[:48]
 
 
 def _exact(data, low, high):
@@ -99,15 +112,21 @@ def test_error_bounded_by_boundary_shards(data, sharded_by_method, method):
     assert sse <= sse_budget + 1e-6
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_batch_path_matches_scalar_path(data, method):
+@pytest.mark.parametrize(
+    "method, column",
+    [(method, "int") for method in METHODS]
+    + [(method, "prices") for method in FLOAT_METHODS],
+    ids=METHODS + [f"{method}-prices" for method in FLOAT_METHODS],
+)
+def test_batch_path_matches_scalar_path(data, prices, method, column):
     engine = ApproximateQueryEngine(predict_errors=False)
-    values = np.repeat(np.arange(data.size), data.astype(np.int64))
+    axis = np.arange(data.size, dtype=np.float64) if column == "int" else prices
+    values = np.repeat(axis, data.astype(np.int64))
     engine.register_table(Table("t", {"v": values}))
     budget = ENGINE_BUDGETS.get(method, 2 * _budget(method))
     engine.build_synopsis("t", "v", method=method, budget_words=budget, shards=SHARDS)
     queries = [
-        AggregateQuery("t", "v", aggregate, float(low), float(high))
+        AggregateQuery("t", "v", aggregate, float(axis[low]), float(axis[high]))
         for aggregate in ("count", "sum")
         for low, high in random_ranges(data.size, 40, seed=29)
     ]
@@ -116,3 +135,19 @@ def test_batch_path_matches_scalar_path(data, method):
         assert engine.execute(query).estimate == batched.estimate, (
             f"{method}: batch diverged from scalar on {query}"
         )
+
+
+@pytest.mark.parametrize("method", FLOAT_METHODS)
+def test_float_valued_aligned_ranges_are_prefix_differences(data, prices, method):
+    float_data = data * prices  # per-position SUM mass over a price axis
+    budget = ENGINE_BUDGETS.get(method, _budget(method))
+    synopsis = build_sharded(method, float_data, budget, SHARDS, parallel=False)
+    prefix = synopsis._totals_prefix
+    starts = synopsis.starts
+    for i in range(synopsis.num_shards):
+        for j in range(i, synopsis.num_shards):
+            low, high = int(starts[i]), int(starts[j + 1]) - 1
+            estimate = synopsis.estimate(low, high)
+            assert estimate == prefix[j + 1] - prefix[i]
+            exact = _exact(float_data, low, high)
+            assert abs(estimate - exact) <= 1e-9 * abs(exact)

@@ -1,19 +1,30 @@
 """Stateful lifecycle test: the synopsis catalog vs an exact model.
 
 A Hypothesis rule machine interleaves appends (in-domain and
-domain-extending), refreshes, scalar queries, and batch queries against
-an engine whose synopsis budget is large enough for ``a0`` to be exact.
-That turns every discrepancy into a lifecycle bug: the machine's model
-is the multiset of values frozen at the last build/refresh, so a served
-answer must match that snapshot exactly — whether the catalog is
-monolithic or sharded — and staleness flags, dirty-shard sets, and the
-``dirty_shards_rebuilt`` counter must track the append history.
+domain-extending), refreshes, shard compactions, scalar queries, and
+batch queries against an engine whose synopsis budget is large enough
+for ``a0`` to be exact.  That turns every discrepancy into a lifecycle
+bug: the machine's model is the multiset of values frozen at the last
+build/refresh, so a served answer must match that snapshot exactly —
+whether the catalog is monolithic or sharded, and before or after a
+compaction, which re-summarises the same snapshot and must change
+nothing observable except shard geometry.  Staleness flags, dirty-shard
+sets, the heat ledger, and the ``dirty_shards_rebuilt`` counter must
+track the append history; every compaction bumps the entry's build id,
+so answer-cache tokens recorded before the swap never validate after
+it; and each sharded synopsis's per-shard totals (and the prefix array
+that answers interiors) mirror the frozen snapshot exactly.
 """
 
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.engine import AggregateQuery, ApproximateQueryEngine, Table
 from repro.engine.sharding import ShardedSynopsis
@@ -27,6 +38,7 @@ MAX_VALUE = 32  # domain-extending appends stay below this
 # exceeds 2x its width — then every shard is exact and the model below
 # is a strict oracle.
 BUDGET = 8192
+KEY = ("t", "v")
 
 
 class ShardLifecycleMachine(RuleBasedStateMachine):
@@ -44,6 +56,17 @@ class ShardLifecycleMachine(RuleBasedStateMachine):
         )
 
     # -- model oracles -------------------------------------------------
+    def _sharded(self):
+        """Both aggregates' synopses, or ``()`` for a monolithic entry."""
+        entry = self.engine._synopses[KEY]
+        if not isinstance(entry.count_estimator, ShardedSynopsis):
+            return ()
+        return (entry.count_estimator, entry.sum_estimator)
+
+    def _num_shards(self) -> int:
+        synopses = self._sharded()
+        return synopses[0].num_shards if synopses else 1
+
     def _frozen_count(self, low, high):
         return float(sum(1 for v in self.frozen if low <= v <= high))
 
@@ -83,6 +106,34 @@ class ShardLifecycleMachine(RuleBasedStateMachine):
         after = self.engine.stats()["dirty_shards_rebuilt"]
         assert before <= after <= before + self.shards
         self.frozen = list(self.live)
+
+    @precondition(lambda self: self.shards > 1)
+    @rule(data=st.data())
+    def compact(self, data):
+        shards = self._num_shards()
+        if shards < 3:
+            # Merging the last two shards would leave a single-shard
+            # synopsis, which the next full rebuild (shards=1) would
+            # legitimately replace with a monolithic estimator — out of
+            # scope for this machine.
+            return
+        first = data.draw(st.integers(0, shards - 2), label="run first")
+        last = data.draw(
+            st.integers(first + 1, min(shards - 1, first + shards - 2)),
+            label="run last",
+        )
+        was_stale = bool(self.engine.stale_synopses())
+        build_id_before = self.engine._build_meta[KEY]["build_id"]
+        report = self.engine.compact_shards("t", "v", runs=[(first, last)])
+        assert report is not None
+        assert report["shards_after"] == shards - (last - first)
+        assert self._num_shards() == report["shards_after"]
+        # The swap must bump the build id (answer-token invalidation)
+        # while leaving staleness exactly as it was: compaction
+        # re-summarises the frozen snapshot, it neither refreshes nor
+        # invalidates the data the synopsis answers for.
+        assert self.engine._build_meta[KEY]["build_id"] > build_id_before
+        assert bool(self.engine.stale_synopses()) == was_stale
 
     @rule(
         bounds=st.tuples(
@@ -126,14 +177,44 @@ class ShardLifecycleMachine(RuleBasedStateMachine):
 
     @invariant()
     def dirty_sets_well_formed(self):
+        shards = self._num_shards()
         for dirty in self.engine.dirty_shards().values():
             if dirty is not None:
-                assert all(0 <= shard < self.shards for shard in dirty)
+                assert all(0 <= shard < shards for shard in dirty)
                 assert dirty == sorted(dirty)
 
     @invariant()
+    def heat_ledger_fits_current_geometry(self):
+        if not self._sharded():
+            return
+        shards = self._num_shards()
+        heat = self.engine.shard_heat()["t.v"]
+        assert len(heat) == shards
+        assert all(count >= 0 for count in heat)
+        ledger = self.engine._shard_heat.get(KEY, {})
+        assert all(0 <= shard < shards for shard in ledger)
+
+    @invariant()
+    def totals_mirror_the_frozen_snapshot(self):
+        axis = self.engine._synopses[KEY].statistics.values_axis
+        frozen = np.asarray(self.frozen, dtype=np.float64)
+        positions = np.searchsorted(axis, frozen)
+        assert np.array_equal(axis[positions], frozen)
+        for synopsis, weighted in zip(self._sharded(), (False, True)):
+            expected = np.bincount(
+                synopsis.shard_of(positions),
+                weights=frozen if weighted else None,
+                minlength=synopsis.num_shards,
+            ).astype(np.float64)
+            assert np.array_equal(synopsis.totals, expected)
+            assert np.array_equal(
+                synopsis._totals_prefix,
+                np.concatenate(([0.0], np.cumsum(synopsis.totals))),
+            )
+
+    @invariant()
     def catalog_shape_is_stable(self):
-        entry = self.engine._synopses[("t", "v")]
+        entry = self.engine._synopses[KEY]
         if self.shards > 1:
             assert isinstance(entry.count_estimator, ShardedSynopsis)
         else:

@@ -392,19 +392,22 @@ class TestCoverageIntervals:
 
 class TestValidateBench:
     def test_scans_root_and_reports_violations(self, tmp_path, capsys):
-        good = tmp_path / "BENCH_shard_tree.json"
+        good = tmp_path / "BENCH_serve.json"
         good.write_text(
-            '{"shards": 8, "queries": 4, "tree_depth": 3,'
-            ' "tree_seconds": 0.1, "flat_seconds": 0.2,'
-            ' "prefix_seconds": 0.0, "bit_identical": true, "speedup": 2.0}'
+            '{"row_count": 1000, "domain": 64, "query_count": 100,'
+            ' "thread_count": 2, "max_batch": 64, "max_delay_ms": 2.0,'
+            ' "naive_seconds": 0.2, "served_seconds": 0.1,'
+            ' "naive_qps": 500.0, "served_qps": 1000.0, "speedup": 2.0,'
+            ' "batches": 2, "mean_batch_size": 50.0, "cache_hits": 0,'
+            ' "max_abs_difference": 0.0}'
         )
         assert main(["validate-bench", "--root", str(tmp_path)]) == 0
-        assert "ok    BENCH_shard_tree.json" in capsys.readouterr().out
+        assert "ok    BENCH_serve.json" in capsys.readouterr().out
 
-        good.write_text('{"shards": 8}')
+        good.write_text('{"row_count": 1000}')
         assert main(["validate-bench", "--root", str(tmp_path)]) == 1
         captured = capsys.readouterr()
-        assert "FAIL  BENCH_shard_tree.json" in captured.out
+        assert "FAIL  BENCH_serve.json" in captured.out
         assert "missing required field" in captured.out
         assert "1 artifact(s) failed" in captured.err
 

@@ -139,25 +139,6 @@ def _precompute_terms(algebra: PrefixAlgebra, pool=None) -> _BucketTerms:
     return _BucketTerms(s1=s1, s2=s2, p1=p1, p2=p2, intra=intra)
 
 
-def _precompute_terms_scalar(algebra: PrefixAlgebra, pool=None) -> _BucketTerms:
-    """Per-bucket scalar precompute; the differential-test reference."""
-    del pool  # accepted for signature compatibility; always serial
-    n = algebra.n
-    shape = (n, n)
-    s1 = np.zeros(shape)
-    s2 = np.zeros(shape)
-    p1 = np.zeros(shape)
-    p2 = np.zeros(shape)
-    intra = np.zeros(shape)
-    for a in range(n):
-        check_deadline("OPT-A bucket-term precompute")
-        for b in range(a, n):
-            s1[a, b], s2[a, b], p1[a, b], p2[a, b], intra[a, b] = (
-                algebra.rounded_bucket_terms(a, b)
-            )
-    return _BucketTerms(s1=s1, s2=s2, p1=p1, p2=p2, intra=intra)
-
-
 class _StateBlock:
     """Sparse DP states at one ``(k, i)`` cell, keyed by integer Lambda."""
 

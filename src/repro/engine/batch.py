@@ -1,16 +1,16 @@
-"""Batched query execution — the engine's high-throughput path.
+"""The engine's answering path: grouped, vectorised range aggregates.
 
-A production engine is rarely asked one range aggregate at a time:
-dashboards, Figure-1-style sweeps, and optimiser probes arrive in the
-thousands.  Every 1-D synopsis already answers ranges vectorised
-(:meth:`~repro.queries.estimators.RangeSumEstimator.estimate_many`), so
-the only thing between the catalog and bulk throughput is the per-query
-python overhead of :meth:`~repro.engine.engine.ApproximateQueryEngine.execute`.
-:class:`BatchExecutionMixin` removes it: queries are grouped by
-``(table, column, aggregate)``, each group is clipped and answered with
-one ``estimate_many`` call, and exact answers (when requested) come from
-one sort plus vectorised binary search per group instead of one masked
-scan per query.
+Every 1-D range aggregate the engine answers goes through
+:meth:`BatchExecutionMixin._answer_groups`, as in the paper, where every
+range ``s[a, b]`` is answered by one procedure over one synopsis.
+:meth:`BatchExecutionMixin.execute_batch` hands it a whole batch;
+:meth:`~repro.engine.engine.ApproximateQueryEngine.execute` hands it a
+batch of one.  Queries are grouped by ``(table, column, aggregate)``;
+each group resolves the serving ladder once, is clipped to the synopsis
+domain with one vectorised call, and is answered with one
+:meth:`~repro.queries.estimators.RangeSumEstimator.estimate_many` call.
+Exact answers (when requested) come from one sort plus vectorised
+binary search per group.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import InvalidParameterError, InvalidQueryError
+from repro.errors import InvalidQueryError
 
 
 def _as_bounds(values, fill: float) -> np.ndarray:
@@ -95,26 +95,27 @@ class BatchQuery:
         ]
 
 
-def _estimate_group(entry, aggregate: str, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    """Synopsis estimates for one homogeneous group, fully vectorised."""
-    low_idx, high_idx, valid = entry.statistics.clip_range_many(lows, highs)
-    estimates = np.zeros(lows.shape, dtype=np.float64)
-    if not valid.any():
+def _estimate_group(
+    entry, aggregate: str, low_idx: np.ndarray, high_idx: np.ndarray, valid: np.ndarray
+) -> np.ndarray:
+    """Synopsis estimates for one homogeneous group, fully vectorised.
+
+    ``low_idx``/``high_idx`` are the clipped indices of the ``valid``
+    queries; queries that select no domain value estimate 0.
+    """
+    estimates = np.zeros(valid.shape, dtype=np.float64)
+    if not low_idx.size:
         return estimates
-    clipped_lows = low_idx[valid]
-    clipped_highs = high_idx[valid]
     if aggregate == "count":
-        estimates[valid] = entry.count_estimator.estimate_many(clipped_lows, clipped_highs)
+        estimates[valid] = entry.count_estimator.estimate_many(low_idx, high_idx)
     elif aggregate == "sum":
-        estimates[valid] = entry.sum_estimator.estimate_many(clipped_lows, clipped_highs)
+        estimates[valid] = entry.sum_estimator.estimate_many(low_idx, high_idx)
     else:  # avg
         counts = np.asarray(
-            entry.count_estimator.estimate_many(clipped_lows, clipped_highs),
-            dtype=np.float64,
+            entry.count_estimator.estimate_many(low_idx, high_idx), dtype=np.float64
         )
         totals = np.asarray(
-            entry.sum_estimator.estimate_many(clipped_lows, clipped_highs),
-            dtype=np.float64,
+            entry.sum_estimator.estimate_many(low_idx, high_idx), dtype=np.float64
         )
         estimates[valid] = np.divide(
             totals, counts, out=np.zeros_like(totals), where=counts > 0
@@ -122,12 +123,30 @@ def _estimate_group(entry, aggregate: str, lows: np.ndarray, highs: np.ndarray) 
     return estimates
 
 
-class BatchExecutionMixin:
-    """Bulk executors; mixed into the engine.
+def _bound_group(
+    entry, aggregate: str, low_idx: np.ndarray, high_idx: np.ndarray, valid: np.ndarray
+) -> list:
+    """Guaranteed error bounds for one group (``None`` where unavailable)."""
+    bounds = [None] * int(valid.size)
+    if aggregate == "avg" or not low_idx.size:
+        return bounds
+    envelope, estimator = entry.envelope_for(aggregate)
+    if envelope is None:
+        return bounds
+    values = envelope.bound(estimator, low_idx, high_idx).tolist()
+    for offset, value in zip(np.nonzero(valid)[0].tolist(), values):
+        bounds[offset] = value
+    return bounds
 
-    Relies on the host class providing ``self.table(name)``, the 1-D
-    synopsis catalog with ``self._resolve_synopsis``, and the
-    ``self._stats`` counters initialised in ``__init__``.
+
+class BatchExecutionMixin:
+    """The engine's answering path; mixed into the engine.
+
+    Relies on the host class providing ``self.table(name)``, option
+    validation (``self._answer_options``), the 1-D synopsis catalog
+    with ``self._resolve_with_policy``, the audit and shard-accounting
+    helpers, and the ``self._stats`` counters initialised in
+    ``__init__``.
     """
 
     def execute_batch(
@@ -157,15 +176,9 @@ class BatchExecutionMixin:
         fallback estimator -> exact scan.  Every result is tagged with
         its group's serving level.
         """
-        from repro.engine.engine import AggregateQuery, QueryResult
-        from repro.engine.resilience import as_degradation_policy
+        from repro.engine.engine import AggregateQuery
 
-        if on_stale not in ("serve", "rebuild", "error"):
-            raise InvalidParameterError(
-                f"on_stale must be serve, rebuild, or error, got {on_stale!r}"
-            )
-        policy = as_degradation_policy(degradation)
-        audit_rate = self._check_audit_rate(audit_rate)
+        policy, audit_rate = self._answer_options(on_stale, audit_rate, degradation)
         if isinstance(queries, BatchQuery):
             query_list = queries.queries()
         else:
@@ -177,7 +190,6 @@ class BatchExecutionMixin:
                         f"got {type(query).__name__}"
                     )
         start = time.perf_counter()
-        results: list = [None] * len(query_list)
         groups: dict[tuple[str, str, str], list[int]] = {}
         for position, query in enumerate(query_list):
             groups.setdefault(
@@ -186,110 +198,15 @@ class BatchExecutionMixin:
         with self.tracer.span(
             "batch", queries=len(query_list), groups=len(groups)
         ):
-            for (table_name, column_name, aggregate), positions in groups.items():
-                if policy is None:
-                    entry = self._resolve_synopsis(table_name, column_name, on_stale)
-                    level = (
-                        "stale"
-                        if (table_name, column_name) in self._stale
-                        else "fresh"
-                    )
-                else:
-                    entry, level = self._resolve_with_policy(
-                        table_name, column_name, policy
-                    )
-                group_queries = [query_list[i] for i in positions]
-                lows = np.array(
-                    [-np.inf if q.low is None else q.low for q in group_queries],
-                    dtype=np.float64,
-                )
-                highs = np.array(
-                    [np.inf if q.high is None else q.high for q in group_queries],
-                    dtype=np.float64,
-                )
-                self._record_degraded_serve(level, len(positions))
-                if level == "progressive":
-                    # Interval answers are scalar by nature (each query
-                    # gets its own refinement chain), so the group loops
-                    # stage-0 sessions instead of the vectorised path.
-                    from repro.serving.progressive import initial_answer
-
-                    exact_array = (
-                        self._exact_batch(
-                            table_name, column_name, aggregate, lows, highs
-                        )
-                        if with_exact
-                        else None
-                    )
-                    if with_exact:
-                        self._bump("exact_scans", len(positions))
-                    self._bump_hits(f"{table_name}.{column_name}", len(positions))
-                    for offset, position in enumerate(positions):
-                        answer = initial_answer(self, group_queries[offset])
-                        results[position] = answer.as_result(
-                            exact=float(exact_array[offset])
-                            if exact_array is not None
-                            else None
-                        )
-                    continue
-                if entry is None:
-                    if level == "exact":
-                        estimate_array = self._exact_batch(
-                            table_name, column_name, aggregate, lows, highs
-                        )
-                        self._bump("exact_scans", len(positions))
-                        synopsis_name = "exact-scan"
-                        synopsis_words = 0
-                    else:  # fallback
-                        estimate_array = self._fallback_estimate_many(
-                            table_name, column_name, aggregate, lows, highs
-                        )
-                        synopsis_name = "fallback-uniform"
-                        synopsis_words = 4
-                    exact_array = (
-                        self._exact_batch(
-                            table_name, column_name, aggregate, lows, highs
-                        )
-                        if with_exact and level != "exact"
-                        else (estimate_array if with_exact else None)
-                    )
-                else:
-                    estimate_array = _estimate_group(entry, aggregate, lows, highs)
-                    self._record_sharded_batch(entry, lows, highs)
-                    exact_array = (
-                        self._exact_batch(
-                            table_name, column_name, aggregate, lows, highs
-                        )
-                        if with_exact
-                        else None
-                    )
-                    if audit_rate > 0.0:
-                        self._audit_batch_group(
-                            (table_name, column_name, aggregate),
-                            entry,
-                            estimate_array,
-                            exact_array,
-                            lows,
-                            highs,
-                            audit_rate,
-                        )
-                    synopsis_name = entry.count_estimator.name
-                    synopsis_words = (
-                        entry.count_estimator.storage_words()
-                        + entry.sum_estimator.storage_words()
-                    )
-                estimates = estimate_array.tolist()
-                exacts = exact_array.tolist() if exact_array is not None else None
-                self._bump_hits(f"{table_name}.{column_name}", len(positions))
-                for offset, position in enumerate(positions):
-                    results[position] = QueryResult(
-                        query=group_queries[offset],
-                        estimate=estimates[offset],
-                        exact=exacts[offset] if exacts is not None else None,
-                        synopsis_name=synopsis_name,
-                        synopsis_words=synopsis_words,
-                        degradation=level,
-                    )
+            results = self._answer_groups(
+                query_list,
+                groups,
+                policy,
+                on_stale=on_stale,
+                with_exact=with_exact,
+                with_bound=False,
+                audit_rate=audit_rate,
+            )
         elapsed = time.perf_counter() - start
         with self._stats_lock:
             self._stats["batches"] += 1
@@ -299,21 +216,121 @@ class BatchExecutionMixin:
                 len(query_list) / elapsed if elapsed > 0 else 0.0
             )
             self._stats["total_batch_seconds"] += elapsed
-            if with_exact:
-                self._stats["exact_scans"] += len(query_list)
         self.metrics.counter("batch_queries_total").inc(len(query_list))
         self.metrics.histogram("batch_seconds").observe(elapsed)
         return results
 
-    def _record_sharded_batch(self, entry, lows: np.ndarray, highs: np.ndarray) -> None:
-        """Boundary-shard hit accounting for one batch group, if sharded."""
+    def _answer_groups(
+        self,
+        query_list: list,
+        groups: dict,
+        policy,
+        *,
+        on_stale: str,
+        with_exact: bool,
+        with_bound: bool,
+        audit_rate: float,
+    ) -> list:
+        """Answer ``query_list`` group by group; the one answering path.
+
+        ``groups`` maps each ``(table, column, aggregate)`` to the
+        positions of its queries.  Each group resolves the serving
+        ladder once and clips its ranges once; the clipped indices feed
+        the estimators, the boundary-shard accounting, the error bounds
+        and the audit.  Exact answers (``with_exact`` or the exact rung)
+        come from one sorted scan per group and count once per query in
+        ``exact_scans``.
+        """
+        from repro.engine.engine import QueryResult
         from repro.engine.sharding import ShardedSynopsis
 
-        if not isinstance(entry.count_estimator, ShardedSynopsis):
-            return
-        low_idx, high_idx, valid = entry.statistics.clip_range_many(lows, highs)
-        if valid.any():
-            self._record_sharded_queries(entry, low_idx[valid], high_idx[valid])
+        results: list = [None] * len(query_list)
+        for (table_name, column_name, aggregate), positions in groups.items():
+            entry, level = self._resolve_with_policy(
+                table_name, column_name, policy, on_stale=on_stale
+            )
+            size = len(positions)
+            group_queries = [query_list[i] for i in positions]
+            lows = np.array(
+                [-np.inf if q.low is None else q.low for q in group_queries],
+                dtype=np.float64,
+            )
+            highs = np.array(
+                [np.inf if q.high is None else q.high for q in group_queries],
+                dtype=np.float64,
+            )
+            self._record_degraded_serve(level, size)
+            self._bump_hits(f"{table_name}.{column_name}", size)
+            exact_array = None
+            if with_exact or level == "exact":
+                exact_array = self._exact_batch(
+                    table_name, column_name, aggregate, lows, highs
+                )
+                self._bump("exact_scans", size)
+            exacts = exact_array.tolist() if with_exact else [None] * size
+            if level == "progressive":
+                # Interval answers are scalar by nature (each query gets
+                # its own refinement chain), so the group loops stage-0
+                # sessions instead of the vectorised path.  Late import:
+                # serving depends on engine, not vice versa.
+                from repro.serving.progressive import initial_answer
+
+                for position, query, exact in zip(positions, group_queries, exacts):
+                    results[position] = initial_answer(self, query).as_result(
+                        exact=exact
+                    )
+                continue
+            bounds = [None] * size
+            if entry is None:
+                if level == "exact":
+                    estimate_array = exact_array
+                    synopsis_name, synopsis_words = "exact-scan", 0
+                else:  # fallback
+                    estimate_array = self._fallback_estimate_many(
+                        table_name, column_name, aggregate, lows, highs
+                    )
+                    synopsis_name, synopsis_words = "fallback-uniform", 4
+            else:
+                low_idx, high_idx, valid = entry.statistics.clip_range_many(
+                    lows, highs
+                )
+                clipped = (low_idx[valid], high_idx[valid], valid)
+                estimate_array = _estimate_group(entry, aggregate, *clipped)
+                if clipped[0].size and isinstance(
+                    entry.count_estimator, ShardedSynopsis
+                ):
+                    self._record_sharded_queries(entry, clipped[0], clipped[1])
+                if with_bound:
+                    bounds = _bound_group(entry, aggregate, *clipped)
+                if audit_rate > 0.0:
+                    self._audit_batch_group(
+                        (table_name, column_name, aggregate),
+                        entry,
+                        estimate_array,
+                        exact_array,
+                        lows,
+                        highs,
+                        clipped,
+                        audit_rate,
+                    )
+                synopsis_name = entry.count_estimator.name
+                synopsis_words = (
+                    entry.count_estimator.storage_words()
+                    + entry.sum_estimator.storage_words()
+                )
+            for position, query, estimate, exact, bound in zip(
+                positions, group_queries, estimate_array.tolist(), exacts, bounds
+            ):
+                results[position] = QueryResult(
+                    query=query,
+                    estimate=estimate,
+                    exact=exact,
+                    synopsis_name=synopsis_name,
+                    synopsis_words=synopsis_words,
+                    guaranteed_bound=bound,
+                    degradation=level,
+                )
+        return results
 
     def _exact_batch(
         self,

@@ -39,6 +39,7 @@ from repro.engine.resilience import (
     DegradationPolicy,
     FallbackChain,
     FallbackStage,
+    STRICT,
     as_degradation_policy,
     as_fallback_chain,
     deadline_scope,
@@ -57,6 +58,15 @@ from repro.queries.estimators import RangeSumEstimator
 
 #: Aggregates the engine understands.
 SUPPORTED_AGGREGATES = ("count", "sum", "avg")
+
+#: The serving ladder each ``on_stale`` mode stands for when no
+#: degradation policy is given; ``"rebuild"`` refreshes a stale entry
+#: before the ladder runs, so it only ever answers fresh.
+_ON_STALE_POLICIES = {
+    "serve": DegradationPolicy(allow_fallback=False, allow_exact=False),
+    "rebuild": STRICT,
+    "error": STRICT,
+}
 
 
 @dataclass(frozen=True)
@@ -1400,26 +1410,38 @@ class ApproximateQueryEngine(BatchExecutionMixin, JointSynopsisMixin, GroupedSyn
         synopses rebuilt.  Sharded 1-D entries refresh incrementally —
         only their dirty shards rebuild (see :meth:`_refresh_entry`).
 
-        Counter updates are transactional per synopsis: ``rebuilds`` and
-        ``rebuilds_total`` advance only after each rebuild succeeds, so
-        a builder exception part-way through leaves the counters equal
-        to the number of synopses actually rebuilt and the failed
-        synopsis still marked stale.
+        Failures are isolated per synopsis: every stale entry gets its
+        own attempt, so one failing rebuild never leaves the entries
+        after it stale.  Once every entry has been tried, the first
+        failure (1-D entries, then joint, then grouped, each in key
+        order) is re-raised.  Counter updates are transactional per
+        synopsis: ``rebuilds`` and ``rebuilds_total`` advance only after
+        each rebuild succeeds, so after a failure the counters equal
+        the number of synopses actually rebuilt and each failed
+        synopsis is still marked stale and keeps serving.
 
         Each 1-D entry's recorded builder method is guarded by a
         circuit breaker: repeated rebuild failures (after the optional
         ``fallback`` ladder is exhausted) open the breaker and later
         refreshes *skip* that method's entries — without raising — until
         the cool-down lapses, so the entries keep serving their stale
-        synopses instead of hammering a broken builder.  The first
-        failing rebuild still raises (the transactional contract above
-        is unchanged); only an already-open breaker turns failures into
-        skips.  ``fallback`` / ``deadline_ms`` behave as in
+        synopses instead of hammering a broken builder.  A failing
+        rebuild still raises (after the other entries were tried); only
+        an already-open breaker turns failures into skips.
+        ``fallback`` / ``deadline_ms`` behave as in
         :meth:`build_synopsis`, with each entry's recorded method as the
         primary rung.
         """
         rebuilt = 0
         skipped = 0
+        failures: list[Exception] = []
+
+        def _rebuilt() -> None:
+            nonlocal rebuilt
+            rebuilt += 1
+            self._bump("rebuilds")
+            self.metrics.counter("rebuilds_total").inc()
+
         with self.tracer.span("rebuild", trigger="refresh_stale") as span:
             try:
                 for key in sorted(self._stale):
@@ -1437,40 +1459,45 @@ class ApproximateQueryEngine(BatchExecutionMixin, JointSynopsisMixin, GroupedSyn
                         self._refresh_entry(
                             key, fallback=fallback, deadline_ms=deadline_ms
                         )
-                    except Exception:
+                    except Exception as error:  # noqa: BLE001 — re-raised below
                         if breaker.record_failure():
                             self.metrics.counter(
                                 "breaker_opened_total", method=method
                             ).inc()
-                        raise
+                        failures.append(error)
+                        continue
                     breaker.record_success()
                     if probing:
                         self.metrics.counter(
                             "breaker_closed_total", method=method
                         ).inc()
-                    rebuilt += 1
-                    self._bump("rebuilds")
-                    self.metrics.counter("rebuilds_total").inc()
+                    _rebuilt()
                 for key in sorted(self._stale_joint):
                     entry = self._joint_synopses[key]
-                    self.build_joint_synopsis(
-                        key[0],
-                        key[1],
-                        key[2],
-                        method=entry.method,
-                        budget_words=entry.budget_words,
-                    )
-                    rebuilt += 1
-                    self._bump("rebuilds")
-                    self.metrics.counter("rebuilds_total").inc()
+                    try:
+                        self.build_joint_synopsis(
+                            key[0],
+                            key[1],
+                            key[2],
+                            method=entry.method,
+                            budget_words=entry.budget_words,
+                        )
+                    except Exception as error:  # noqa: BLE001 — re-raised below
+                        failures.append(error)
+                        continue
+                    _rebuilt()
                 for key in sorted(self._stale_grouped):
                     config = self._grouped_configs[key]
-                    self.build_grouped_synopsis(key[0], key[1], key[2], **config)
-                    rebuilt += 1
-                    self._bump("rebuilds")
-                    self.metrics.counter("rebuilds_total").inc()
+                    try:
+                        self.build_grouped_synopsis(key[0], key[1], key[2], **config)
+                    except Exception as error:  # noqa: BLE001 — re-raised below
+                        failures.append(error)
+                        continue
+                    _rebuilt()
             finally:
                 span.set(rebuilt=rebuilt, breaker_skipped=skipped)
+        if failures:
+            raise failures[0]
         return rebuilt
 
     # ------------------------------------------------------------------
@@ -1492,72 +1519,70 @@ class ApproximateQueryEngine(BatchExecutionMixin, JointSynopsisMixin, GroupedSyn
             return float(selected.sum())
         return float(selected.mean()) if selected.size else 0.0
 
-    def _resolve_synopsis(
-        self, table_name: str, column_name: str, on_stale: str
-    ) -> _ColumnSynopses:
-        """Look up a 1-D synopsis, applying the staleness policy.
-
-        Shared by the scalar and batch execute paths; ``on_stale`` must
-        already be validated by the caller.
-        """
-        key = (table_name, column_name)
-        if key not in self._synopses:
-            raise InvalidQueryError(
-                f"no synopsis built for {table_name}.{column_name}; "
-                "call build_synopsis first"
+    def _answer_options(
+        self, on_stale: str, audit_rate, degradation
+    ) -> tuple[DegradationPolicy | None, float]:
+        """Validate the shared answering options of ``execute``/``execute_batch``."""
+        if on_stale not in _ON_STALE_POLICIES:
+            raise InvalidParameterError(
+                f"on_stale must be serve, rebuild, or error, got {on_stale!r}"
             )
-        if key in self._stale:
-            if on_stale == "error":
-                raise InvalidQueryError(
-                    f"synopsis for {table_name}.{column_name} is stale "
-                    "(rows appended since build); refresh_stale() or pass "
-                    "on_stale='rebuild'"
-                )
-            if on_stale == "rebuild":
-                self._refresh_entry(key)
-                self._bump("rebuilds")
-            else:
-                self._bump("stale_served")
-        return self._synopses[key]
+        return as_degradation_policy(degradation), self._check_audit_rate(audit_rate)
 
     def _resolve_with_policy(
-        self, table_name: str, column_name: str, policy: DegradationPolicy
+        self,
+        table_name: str,
+        column_name: str,
+        policy: DegradationPolicy | None,
+        *,
+        on_stale: str = "serve",
     ) -> tuple[_ColumnSynopses | None, str]:
-        """Descend the serving ladder under a degradation policy.
+        """Descend the serving ladder for one column.
 
         Returns ``(entry, level)``; ``entry`` is ``None`` on the
-        synopsis-free rungs (``"fallback"`` / ``"exact"``).  Unknown
-        tables and columns still raise — they are query errors, not
-        faults to degrade around.
+        synopsis-free rungs (``"fallback"`` / ``"exact"``).  Without a
+        ``policy`` the ``on_stale`` mode picks one: ``"rebuild"``
+        refreshes a stale entry first, ``"serve"`` admits only the stale
+        rung and ``"error"`` admits none.  Unknown tables and columns
+        still raise — they are query errors, not faults to degrade
+        around.
         """
         key = (table_name, column_name)
         entry = self._synopses.get(key)
+        if policy is None:
+            if entry is not None and key in self._stale and on_stale == "rebuild":
+                self._refresh_entry(key)
+                self._bump("rebuilds")
+                entry = self._synopses[key]
+            policy = _ON_STALE_POLICIES[on_stale]
         if entry is not None and key not in self._stale:
             return entry, "fresh"
-        # Validate the target before degrading.
-        self.table(table_name).column(column_name)
         if entry is not None and policy.allow_stale:
             self._bump("stale_served")
             return entry, "stale"
+        progressive = policy.allow_progressive and entry is not None
+        if not (policy.allow_fallback or progressive or policy.allow_exact):
+            if entry is None:
+                raise InvalidQueryError(
+                    f"no synopsis built for {table_name}.{column_name}; "
+                    "call build_synopsis first"
+                )
+            raise InvalidQueryError(
+                f"synopsis for {table_name}.{column_name} is stale "
+                "(rows appended since build); refresh_stale() or pass "
+                "on_stale='rebuild'"
+            )
+        # Validate the target before degrading to a rung that reads it.
+        self.table(table_name).column(column_name)
         if policy.allow_fallback:
             return None, "fallback"
-        if policy.allow_progressive and entry is not None:
+        if progressive:
             # Anytime rung: serve the (possibly stale) synopsis as an
             # interval answer instead of a bare point estimate; the
             # serving tier's Refiner tightens it in the background.
             self._bump("progressive_served")
             return entry, "progressive"
-        if policy.allow_exact:
-            return None, "exact"
-        if entry is None:
-            raise InvalidQueryError(
-                f"no synopsis built for {table_name}.{column_name} and the "
-                "degradation policy admits no substitute rung"
-            )
-        raise InvalidQueryError(
-            f"synopsis for {table_name}.{column_name} is stale and the "
-            "degradation policy admits no substitute rung"
-        )
+        return None, "exact"
 
     def _record_degraded_serve(self, level: str, count: int = 1) -> None:
         """Account one (or a batch of) answers served below ``fresh``."""
@@ -1678,6 +1703,11 @@ class ApproximateQueryEngine(BatchExecutionMixin, JointSynopsisMixin, GroupedSyn
     ) -> QueryResult:
         """Answer from the synopses; optionally attach the exact answer.
 
+        The query is answered as a batch of one by the same code as
+        :meth:`execute_batch`, so both return bit-identical results;
+        ``with_bound`` (COUNT/SUM on an average histogram) attaches the
+        deterministic error bound as ``result.guaranteed_bound``.
+
         ``on_stale`` controls behaviour when rows were appended after
         the synopsis was built: ``"serve"`` answers from the stale
         synopsis (default — estimates drift with the appended volume),
@@ -1699,132 +1729,28 @@ class ApproximateQueryEngine(BatchExecutionMixin, JointSynopsisMixin, GroupedSyn
         stale) and the observed error feeds :meth:`error_report`.
         Auditing never changes the returned result.
         """
-        if on_stale not in ("serve", "rebuild", "error"):
-            raise InvalidParameterError(
-                f"on_stale must be serve, rebuild, or error, got {on_stale!r}"
-            )
-        policy = as_degradation_policy(degradation)
-        audit_rate = self._check_audit_rate(audit_rate)
+        policy, audit_rate = self._answer_options(on_stale, audit_rate, degradation)
         with self.tracer.span(
             "query",
             table=query.table,
             column=query.column,
             aggregate=query.aggregate,
         ) as span:
-            if policy is None:
-                entry = self._resolve_synopsis(query.table, query.column, on_stale)
-                level = (
-                    "stale" if (query.table, query.column) in self._stale else "fresh"
-                )
-            else:
-                entry, level = self._resolve_with_policy(
-                    query.table, query.column, policy
-                )
-            span.set(degradation=level)
-            self._bump("queries")
-            self._bump_hits(f"{query.table}.{query.column}")
-            self._record_degraded_serve(level)
-            if level == "progressive":
-                # Late import: serving depends on engine, not vice versa.
-                from repro.serving.progressive import initial_answer
-
-                answer = initial_answer(self, query)
-                exact = None
-                if with_exact:
-                    exact = self.execute_exact(query)
-                    self._bump("exact_scans")
-                span.set(stage=answer.stage)
-                return answer.as_result(exact=exact)
-            if entry is None:
-                return self._execute_degraded(query, level, with_exact=with_exact)
-            if with_exact:
-                self._bump("exact_scans")
-            clipped = entry.statistics.clip_range(query.low, query.high)
-            if clipped is not None and isinstance(
-                entry.count_estimator, ShardedSynopsis
-            ):
-                self._record_sharded_queries(
-                    entry,
-                    np.asarray([clipped[0]], dtype=np.int64),
-                    np.asarray([clipped[1]], dtype=np.int64),
-                )
-            if clipped is None:
-                estimate = 0.0
-            else:
-                low, high = clipped
-                if query.aggregate == "count":
-                    estimate = entry.count_estimator.estimate(low, high)
-                elif query.aggregate == "sum":
-                    estimate = entry.sum_estimator.estimate(low, high)
-                else:  # avg
-                    count = entry.count_estimator.estimate(low, high)
-                    total = entry.sum_estimator.estimate(low, high)
-                    estimate = total / count if count > 0 else 0.0
-            exact = self.execute_exact(query) if with_exact else None
-            bound = None
-            if with_bound and clipped is not None and query.aggregate in ("count", "sum"):
-                envelope, estimator = entry.envelope_for(query.aggregate)
-                if envelope is not None:
-                    low, high = clipped
-                    bound = float(
-                        envelope.bound(
-                            estimator, np.asarray([low]), np.asarray([high])
-                        )[0]
-                    )
-            if audit_rate > 0.0 and (
-                audit_rate >= 1.0 or float(self._audit_rng.random()) < audit_rate
-            ):
-                self._audit_scalar(query, entry, clipped, float(estimate), exact)
-        return QueryResult(
-            query=query,
-            estimate=float(estimate),
-            exact=exact,
-            synopsis_name=entry.count_estimator.name,
-            synopsis_words=entry.count_estimator.storage_words()
-            + entry.sum_estimator.storage_words(),
-            guaranteed_bound=bound,
-            degradation=level,
-        )
-
-    def _execute_degraded(
-        self, query: AggregateQuery, level: str, *, with_exact: bool
-    ) -> QueryResult:
-        """Answer one query from a synopsis-free ladder rung."""
-        if level == "exact":
-            estimate = self.execute_exact(query)
-            self._bump("exact_scans")
-            exact = estimate if with_exact else None
-            return QueryResult(
-                query=query,
-                estimate=estimate,
-                exact=exact,
-                synopsis_name="exact-scan",
-                synopsis_words=0,
-                degradation=level,
+            (result,) = self._answer_groups(
+                [query],
+                {(query.table, query.column, query.aggregate): [0]},
+                policy,
+                on_stale=on_stale,
+                with_exact=with_exact,
+                with_bound=with_bound,
+                audit_rate=audit_rate,
             )
-        low = query.low if query.low is not None else -np.inf
-        high = query.high if query.high is not None else np.inf
-        estimate = float(
-            self._fallback_estimate_many(
-                query.table,
-                query.column,
-                query.aggregate,
-                np.asarray([low]),
-                np.asarray([high]),
-            )[0]
-        )
-        exact = None
-        if with_exact:
-            exact = self.execute_exact(query)
-            self._bump("exact_scans")
-        return QueryResult(
-            query=query,
-            estimate=estimate,
-            exact=exact,
-            synopsis_name="fallback-uniform",
-            synopsis_words=4,
-            degradation=level,
-        )
+            span.set(degradation=result.degradation)
+            if result.degradation == "progressive":
+                # A progressive answer is its session's first stage.
+                span.set(stage="synopsis")
+            self._bump("queries")
+        return result
 
     # ------------------------------------------------------------------
     # Observability: auditing, error reports, exports
@@ -1868,41 +1794,6 @@ class ApproximateQueryEngine(BatchExecutionMixin, JointSynopsisMixin, GroupedSyn
                 (table_name, column_name, target), low_idx, high_idx
             )
 
-    def _audit_scalar(
-        self,
-        query: AggregateQuery,
-        entry: _ColumnSynopses,
-        clipped: tuple[int, int] | None,
-        estimate: float,
-        exact: float | None,
-    ) -> None:
-        """Record one audited query into the error windows."""
-        if clipped is not None:
-            self._record_observed(
-                query.table,
-                query.column,
-                query.aggregate,
-                np.asarray([clipped[0]], dtype=np.int64),
-                np.asarray([clipped[1]], dtype=np.int64),
-            )
-        if exact is None:
-            if (query.table, query.column) in self._stale:
-                exact = self.execute_exact(query)
-            elif clipped is None:
-                exact = 0.0
-            else:
-                exact = entry.statistics.snapshot_aggregate(
-                    query.aggregate, clipped[0], clipped[1]
-                )
-        absolute_error = self.auditor.record(
-            (query.table, query.column, query.aggregate), estimate, exact
-        )
-        self._bump("audited_queries")
-        self.metrics.counter("audited_total", aggregate=query.aggregate).inc()
-        self.metrics.histogram("audit_abs_error", buckets=ERROR_BUCKETS).observe(
-            absolute_error
-        )
-
     def _audit_batch_group(
         self,
         key: tuple[str, str, str],
@@ -1911,9 +1802,14 @@ class ApproximateQueryEngine(BatchExecutionMixin, JointSynopsisMixin, GroupedSyn
         exacts: np.ndarray | None,
         lows: np.ndarray,
         highs: np.ndarray,
+        clipped: tuple[np.ndarray, np.ndarray, np.ndarray],
         audit_rate: float,
     ) -> None:
-        """Audit a sampled subset of one homogeneous batch group."""
+        """Audit a sampled subset of one homogeneous group.
+
+        ``clipped`` is the group's ``(low_idx, high_idx, valid)`` with
+        the indices already restricted to the ``valid`` queries.
+        """
         table_name, column_name, aggregate = key
         count = int(estimates.size)
         if audit_rate >= 1.0:
@@ -1923,16 +1819,13 @@ class ApproximateQueryEngine(BatchExecutionMixin, JointSynopsisMixin, GroupedSyn
         audited = int(mask.sum())
         if not audited:
             return
-        obs_low, obs_high, obs_valid = entry.statistics.clip_range_many(
-            lows[mask], highs[mask]
-        )
-        if obs_valid.any():
+        low_idx, high_idx, valid = clipped
+        # The audited queries' clipped ranges: ``mask[valid]`` picks them
+        # out of the indices, which hold the valid queries only.
+        audited_clip = (low_idx[mask[valid]], high_idx[mask[valid]], valid[mask])
+        if audited_clip[0].size:
             self._record_observed(
-                table_name,
-                column_name,
-                aggregate,
-                obs_low[obs_valid],
-                obs_high[obs_valid],
+                table_name, column_name, aggregate, audited_clip[0], audited_clip[1]
             )
         if exacts is not None:
             audit_exacts = np.asarray(exacts, dtype=np.float64)[mask]
@@ -1941,9 +1834,7 @@ class ApproximateQueryEngine(BatchExecutionMixin, JointSynopsisMixin, GroupedSyn
                 table_name, column_name, aggregate, lows[mask], highs[mask]
             )
         else:
-            audit_exacts = self._snapshot_exact_many(
-                entry, aggregate, lows[mask], highs[mask]
-            )
+            audit_exacts = self._snapshot_exact_many(entry, aggregate, audited_clip)
         absolute_errors = self.auditor.record_many(
             key, np.asarray(estimates, dtype=np.float64)[mask], audit_exacts
         )
@@ -1957,22 +1848,18 @@ class ApproximateQueryEngine(BatchExecutionMixin, JointSynopsisMixin, GroupedSyn
 
     @staticmethod
     def _snapshot_exact_many(
-        entry: _ColumnSynopses, aggregate: str, lows: np.ndarray, highs: np.ndarray
+        entry: _ColumnSynopses,
+        aggregate: str,
+        clipped: tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> np.ndarray:
         """Vectorised exact answers from the build-time snapshot."""
-        low_idx, high_idx, valid = entry.statistics.clip_range_many(lows, highs)
-        counts = np.zeros(lows.shape, dtype=np.float64)
-        if valid.any():
-            counts[valid] = entry.statistics.range_totals(
-                "count", low_idx[valid], high_idx[valid]
-            )
+        low_idx, high_idx, valid = clipped
+        counts = np.zeros(valid.shape, dtype=np.float64)
+        counts[valid] = entry.statistics.range_totals("count", low_idx, high_idx)
         if aggregate == "count":
             return counts
-        totals = np.zeros(lows.shape, dtype=np.float64)
-        if valid.any():
-            totals[valid] = entry.statistics.range_totals(
-                "sum", low_idx[valid], high_idx[valid]
-            )
+        totals = np.zeros(valid.shape, dtype=np.float64)
+        totals[valid] = entry.statistics.range_totals("sum", low_idx, high_idx)
         if aggregate == "sum":
             return totals
         return np.divide(totals, counts, out=np.zeros_like(totals), where=counts > 0)

@@ -17,8 +17,9 @@ within float rounding otherwise), and an arbitrary range pays only the
 usual synopsis error inside the at-most-two boundary shards.  Because
 the class implements the
 :class:`~repro.queries.estimators.RangeSumEstimator` protocol, it
-drops into every existing engine path — scalar execute, the vectorised
-batch pipeline, quantile inversion, and the online auditor — unchanged.
+drops into every engine path — the one grouped answering path behind
+``execute`` and ``execute_batch``, quantile inversion, and the online
+auditor — unchanged.
 
 The payoff beyond accuracy is *incremental maintenance*: appends that
 touch only some shards dirty only those shards, and the engine rebuilds
@@ -175,6 +176,13 @@ class ShardedSynopsis(RangeSumEstimator):
         #: state, rebuilt in O(S) by every constructor and excluded from
         #: the paper's storage accounting.
         self._totals_prefix = np.concatenate(([0.0], np.cumsum(self.totals)))
+        #: The instance is frozen (maintenance builds a new one), so the
+        #: word count is summed over the shards once, not per query.
+        self._storage_words = (
+            sum(estimator.storage_words() for estimator in self.estimators)
+            + self.starts.size
+            + self.totals.size
+        )
 
     # ------------------------------------------------------------------
     # Geometry
@@ -335,11 +343,7 @@ class ShardedSynopsis(RangeSumEstimator):
         The directory follows the paper's accounting: one word per shard
         boundary (``S + 1``) and one per frozen exact total (``S``).
         """
-        return (
-            sum(estimator.storage_words() for estimator in self.estimators)
-            + self.starts.size
-            + self.totals.size
-        )
+        return self._storage_words
 
     @property
     def name(self) -> str:

@@ -11,6 +11,12 @@ import numpy as np
 
 from repro.errors import InvalidDataError, InvalidQueryError
 
+#: Largest magnitude an appended numeric value may have: float64 holds
+#: every integer up to 2**53 exactly, so range sums stay exact and the
+#: builders' squared-error terms stay finite; larger values overflow
+#: them to inf/NaN.
+MAX_APPEND_MAGNITUDE = float(2**53)
+
 
 class Table:
     """A named collection of equal-length columns."""
@@ -41,15 +47,23 @@ class Table:
 
         ``rows`` must cover exactly this table's columns with
         equal-length 1-D arrays; a numeric column only accepts finite
-        numbers.  Anything else raises :class:`InvalidDataError` before
-        a new table exists.  A zero-row append returns ``self``.
+        numbers of magnitude at most :data:`MAX_APPEND_MAGNITUDE`.
+        Anything else raises :class:`InvalidDataError` before a new
+        table exists.  A zero-row append returns ``self``.
         """
         if set(rows) != set(self.columns):
             raise InvalidDataError(
                 f"appended rows must cover exactly the columns "
                 f"{self.column_names()}, got {sorted(rows)}"
             )
-        appended = {name: np.asarray(rows[name]) for name in self.columns}
+        appended = {}
+        for name in self.columns:
+            try:
+                appended[name] = np.asarray(rows[name])
+            except ValueError as error:  # ragged nested sequences
+                raise InvalidDataError(
+                    f"appended column {name!r} is not a flat array: {error}"
+                ) from error
         lengths = {name: values.size for name, values in appended.items()}
         if len(set(lengths.values())) != 1:
             raise InvalidDataError(
@@ -67,6 +81,11 @@ class Table:
                 if not np.all(np.isfinite(values)):
                     raise InvalidDataError(
                         f"appended column {name!r} contains NaN or infinite values"
+                    )
+                if np.abs(values.astype(np.float64)).max() > MAX_APPEND_MAGNITUDE:
+                    raise InvalidDataError(
+                        f"appended column {name!r} has values beyond "
+                        f"+-{MAX_APPEND_MAGNITUDE:.0f}"
                     )
         if not next(iter(lengths.values())):
             return self

@@ -46,19 +46,6 @@ def _fill_layer_vectorised(prev: np.ndarray, cost: np.ndarray, merge):
     return values, parents
 
 
-def _fill_layer_scalar(prev: np.ndarray, cost: np.ndarray, merge):
-    """Reference per-prefix fill; kept for differential testing."""
-    n = cost.shape[0]
-    values = np.empty(n)
-    parents = np.empty(n, dtype=np.int64)
-    for i in range(1, n + 1):
-        candidates = merge(prev[:i], cost[:i, i - 1])
-        j = int(np.argmin(candidates))
-        values[i - 1] = candidates[j]
-        parents[i - 1] = j
-    return values, parents
-
-
 #: The active layer-fill kernel; tests swap in the scalar reference.
 _fill_layer = _fill_layer_vectorised
 

@@ -365,6 +365,9 @@ class _WorkerHandle:
     task_w: object
     result_r: object
     epoch: int | None = None
+    #: Epochs sent to the worker (at spawn or in a ``swap``) that it has
+    #: not yet acknowledged; never retired while the worker lives.
+    pending_epochs: set = field(default_factory=set)
     busy: int | None = None  # batch_id currently assigned, if any
     reaped: bool = False
 
@@ -686,6 +689,7 @@ class PoolServer(QueryServer):
             self._current_epoch = epoch
             self._pool_counters["epoch_swaps"] += 1
             for handle in self._handles.values():
+                handle.pending_epochs.add(epoch.epoch)
                 try:
                     handle.task_w.send(
                         ("swap", epoch.segment_name, epoch.stale_keys)
@@ -789,6 +793,7 @@ class PoolServer(QueryServer):
         task_r, task_w = self._mp.Pipe(duplex=False)
         result_r, result_w = self._mp.Pipe(duplex=False)
         with self._pool_lock:
+            spawn_epoch = self._current_epoch.epoch
             segment_name = self._current_epoch.segment_name
             stale_keys = self._current_epoch.stale_keys
         generation = self.supervisor.generation(slot) + 1
@@ -826,6 +831,7 @@ class PoolServer(QueryServer):
                 process=process,
                 task_w=task_w,
                 result_r=result_r,
+                pending_epochs={spawn_epoch},
             )
             self._pool_counters["spawns"] += 1
             if generation > 0:
@@ -954,7 +960,7 @@ class PoolServer(QueryServer):
             self._update_liveness_gauge()
         elif kind == "attached":
             _, slot, generation, epoch, restored = message
-            handle.epoch = epoch
+            self._acknowledge_epoch(handle, epoch)
             self.supervisor.observe_heartbeat(slot)
             self.metrics.counter("pool_worker_attaches_total").inc()
             self._update_liveness_gauge()
@@ -962,7 +968,7 @@ class PoolServer(QueryServer):
                 self._pump_locked()
         elif kind == "swapped":
             _, slot, generation, epoch = message
-            handle.epoch = epoch
+            self._acknowledge_epoch(handle, epoch)
             with self._pool_lock:
                 self._maybe_retire_locked()
         elif kind == "result":
@@ -974,6 +980,18 @@ class PoolServer(QueryServer):
             self.metrics.counter("pool_attach_errors_total").inc()
         elif kind == "bye":
             handle.reaped = True
+
+    def _acknowledge_epoch(self, handle: _WorkerHandle, epoch: int) -> None:
+        """Record that a worker now serves ``epoch``.
+
+        A worker reads its task pipe in order, so every epoch sent to it
+        before this one has been attached already.
+        """
+        with self._pool_lock:
+            handle.epoch = epoch
+            handle.pending_epochs = {
+                pending for pending in handle.pending_epochs if pending > epoch
+            }
 
     def _handle_result(
         self, handle: _WorkerHandle, batch_id: int, epoch: int, answers: list
@@ -1250,15 +1268,19 @@ class PoolServer(QueryServer):
             return any(not flight.done for flight in self._flights.values())
 
     def _maybe_retire_locked(self) -> None:
-        """Unlink old epoch segments once no live worker still uses them."""
+        """Unlink old epoch segments once no live worker still uses them.
+
+        An epoch a live worker was sent but has not acknowledged yet is
+        still in use: the worker attaches it when it reads the message.
+        """
         current = self._current_epoch
         if current is None:
             return
-        live_epochs = {
-            handle.epoch
-            for handle in self._handles.values()
-            if handle.process.is_alive()
-        }
+        live_epochs = set()
+        for handle in self._handles.values():
+            if handle.process.is_alive():
+                live_epochs.add(handle.epoch)
+                live_epochs.update(handle.pending_epochs)
         for epoch in list(self.shared.epochs()):
             if epoch == current.epoch:
                 continue

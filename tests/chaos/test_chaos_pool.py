@@ -249,6 +249,53 @@ class TestWedgedWorker:
                 _export_artifact("pool-wedged-worker", server, injector)
 
 
+class TestEpochRetirement:
+    def test_back_to_back_republish_keeps_every_worker_alive(self):
+        # One worker is held in a slow batch while two epochs are
+        # published back to back; the idle worker swaps to both.  The
+        # first epoch is still queued for the busy worker, so retiring
+        # it would make that worker's attach fail (exit code 3).
+        engine = _engine()
+        query = _queries(1)[0]
+        injector = _injector()
+        injector.slow("worker_batch", 1.0, times=1, generation=0)
+        with injector:
+            server = _pool(
+                engine, heartbeat_timeout_ms=2500.0, hang_timeout_ms=5000.0
+            )
+            with server:
+                _wait_live(server, 2)
+                held = server.submit(query)
+                time.sleep(0.2)
+                for value in (3, 5):
+                    engine.append_rows("chaos", {"v": [value], "w": [value]})
+                    engine.refresh_stale()
+                    server.republish()
+                held.result(timeout=QUERY_TIMEOUT)
+                # Let the held worker read its queued swaps.
+                time.sleep(0.5)
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline:
+                    mismatches = server.stats()["pool"]["token_mismatch_recomputed"]
+                    result = server.execute(query, timeout=QUERY_TIMEOUT)
+                    if (
+                        server.stats()["pool"]["token_mismatch_recomputed"]
+                        == mismatches
+                    ):
+                        break
+                    time.sleep(0.02)
+                stats = server.stats()["pool"]
+                exitcodes = [
+                    slot["last_exitcode"]
+                    for slot in server.supervisor.snapshot().values()
+                ]
+                _export_artifact("pool-back-to-back-republish", server, injector)
+        assert stats["worker_exits"] == 0, exitcodes
+        assert stats["epoch_swaps"] == 2
+        assert result.degradation == "fresh"
+        assert result.estimate == engine.execute(query).estimate
+
+
 class TestTornAttach:
     def test_gen0_torn_attach_recovers_via_respawn(self):
         # Both gen-0 workers read a corrupted snapshot, detect it via

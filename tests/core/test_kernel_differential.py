@@ -18,9 +18,8 @@ from repro.core.builders import (
     build_by_name,
     predict_sse_per_query,
 )
-from repro.core.opt_a import _precompute_terms_scalar
-from repro.internal.dp import _fill_layer_scalar
 from repro.queries.workload import all_ranges
+from tests.kernel_oracles import fill_layer_scalar, precompute_terms_scalar
 
 
 def _small_instance():
@@ -53,9 +52,9 @@ def test_builder_bitwise_identical_under_scalar_kernels(name):
 
     with pytest.MonkeyPatch.context() as scalar_kernels:
         scalar_kernels.setattr(
-            opt_a_module, "_precompute_terms", _precompute_terms_scalar
+            opt_a_module, "_precompute_terms", precompute_terms_scalar
         )
-        scalar_kernels.setattr(dp_module, "_fill_layer", _fill_layer_scalar)
+        scalar_kernels.setattr(dp_module, "_fill_layer", fill_layer_scalar)
         scalar_est = build_by_name(name, data, budget, **kwargs)
         scalar_answers = np.asarray(scalar_est.estimate_many(lows, highs))
         scalar_prediction = predict_sse_per_query(scalar_est, data)

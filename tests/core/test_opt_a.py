@@ -123,12 +123,13 @@ class TestDPBehaviour:
         )
 
     def test_row_precompute_matches_scalar_bitwise(self, small_data):
-        from repro.core.opt_a import _precompute_terms, _precompute_terms_scalar
+        from repro.core.opt_a import _precompute_terms
         from repro.internal.prefix import PrefixAlgebra
+        from tests.kernel_oracles import precompute_terms_scalar
 
         algebra = PrefixAlgebra(np.asarray(small_data, dtype=float))
         fast = _precompute_terms(algebra)
-        slow = _precompute_terms_scalar(algebra)
+        slow = precompute_terms_scalar(algebra)
         for field in ("s1", "s2", "p1", "p2", "intra"):
             np.testing.assert_array_equal(
                 getattr(fast, field), getattr(slow, field)

@@ -42,8 +42,10 @@ def _state(engine):
         [-np.inf],
         ["7"],
         np.array([None], dtype=object),
+        [[1, 2], [3]],
+        [1e300],
     ],
-    ids=["nan", "inf", "neg-inf", "string", "object"],
+    ids=["nan", "inf", "neg-inf", "string", "object", "ragged", "huge"],
 )
 def test_hostile_values_rejected_before_any_state_changes(values):
     engine = _engine()

@@ -1,7 +1,8 @@
 """Auditing is a pure side channel: answers never change.
 
-Differential checks between audited and un-audited execution, and
-between the batch and scalar paths under auditing, on random workloads.
+Differential checks between audited and un-audited execution on random
+workloads, and of the errors the audit observes against the per-query
+reference of :mod:`tests.engine.reference`.
 """
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from repro.engine.engine import AggregateQuery, ApproximateQueryEngine
 from repro.engine.table import Table
+from tests.engine.reference import reference_estimate, reference_exact
 
 AGGREGATES = ("count", "sum", "avg")
 
@@ -134,22 +136,30 @@ class TestBatchDifferential:
         assert 0 < audited_count < 400
 
     def test_scalar_and_batch_audits_observe_same_errors(self):
-        """Both paths feed the same windows: full-rate auditing of the
-        same workload yields identical observed statistics."""
+        """Full-rate auditing through ``execute`` and ``execute_batch``
+        observes exactly the reference errors |estimate - exact|."""
         scalar_engine = build_engine()
         batch_engine = build_engine()
         queries = random_queries(200, seed=21)
         for query in queries:
             scalar_engine.execute(query, audit_rate=1.0)
         batch_engine.execute_batch(queries, audit_rate=1.0)
-        assert scalar_engine.auditor.keys() == batch_engine.auditor.keys()
-        for key in scalar_engine.auditor.keys():
-            left = scalar_engine.auditor.observed(key)
-            right = batch_engine.auditor.observed(key)
-            assert left.samples == right.samples
-            assert left.sse_per_query == pytest.approx(
-                right.sse_per_query, rel=1e-9, abs=1e-9
+        errors: dict = {}
+        for query in queries:
+            key = (query.table, query.column, query.aggregate)
+            errors.setdefault(key, []).append(
+                reference_estimate(scalar_engine, query)
+                - reference_exact(scalar_engine, query)
             )
-            assert left.max_abs_error == pytest.approx(
-                right.max_abs_error, rel=1e-9, abs=1e-9
-            )
+        for engine in (scalar_engine, batch_engine):
+            assert set(engine.auditor.keys()) == set(errors)
+            for key, key_errors in errors.items():
+                observed = engine.auditor.observed(key)
+                expected = np.asarray(key_errors)
+                assert observed.samples == expected.size
+                assert observed.sse_per_query == pytest.approx(
+                    float(np.mean(expected * expected)), rel=1e-9, abs=1e-9
+                )
+                assert observed.max_abs_error == pytest.approx(
+                    float(np.abs(expected).max()), rel=1e-9, abs=1e-9
+                )

@@ -7,6 +7,7 @@ from repro.engine import ApproximateQueryEngine, BatchQuery, Table
 from repro.engine.engine import AggregateQuery
 from repro.errors import InvalidParameterError, InvalidQueryError
 from repro.queries.workload import random_ranges
+from tests.engine.reference import assert_matches_reference
 
 
 @pytest.fixture
@@ -44,29 +45,31 @@ def _random_queries(rng, count):
 
 class TestBatchMatchesScalar:
     def test_elementwise_identical_over_random_workloads(self, engine):
-        """Property: execute_batch == [execute(q) for q in queries], exactly."""
+        """Property: execute_batch and per-query execute both equal the
+        per-query reference, exactly."""
         for seed in range(5):
             rng = np.random.default_rng(seed)
             queries = _random_queries(rng, 200)
-            batch_results = engine.execute_batch(queries)
-            for query, batched in zip(queries, batch_results):
-                scalar = engine.execute(query)
-                assert batched.estimate == scalar.estimate, query
-                assert batched.synopsis_name == scalar.synopsis_name
-                assert batched.synopsis_words == scalar.synopsis_words
-                assert batched.query == query
+            assert_matches_reference(engine, queries, engine.execute_batch(queries))
+            assert_matches_reference(
+                engine, queries, [engine.execute(query) for query in queries]
+            )
 
     def test_with_exact_matches_scalar_scan(self, engine):
         rng = np.random.default_rng(7)
         queries = _random_queries(rng, 150)
-        batch_results = engine.execute_batch(queries, with_exact=True)
-        for query, batched in zip(queries, batch_results):
-            scalar = engine.execute(query, with_exact=True)
-            if query.aggregate == "count":
-                assert batched.exact == scalar.exact, query
-            else:
-                # Summation order differs (sorted scan vs masked scan).
-                assert batched.exact == pytest.approx(scalar.exact, rel=1e-12, abs=1e-9)
+        assert_matches_reference(
+            engine,
+            queries,
+            engine.execute_batch(queries, with_exact=True),
+            with_exact=True,
+        )
+        assert_matches_reference(
+            engine,
+            queries,
+            [engine.execute(query, with_exact=True) for query in queries],
+            with_exact=True,
+        )
 
     def test_out_of_domain_ranges_estimate_zero(self, engine):
         results = engine.execute_batch(

@@ -1,14 +1,15 @@
-"""Differential test: batch domain clipping vs the scalar execute path.
+"""Differential test: domain clipping vs a per-query reference.
 
-``execute_batch`` clips every group's ranges to the synopsis domain
-with one vectorised ``clip_range_many`` call, while scalar ``execute``
-clips per query.  The serve plane funnels all queries through the batch
-path and caches the answers, so any divergence — however small — would
-poison the cache with answers the scalar path would contradict.  These
-tests sweep the clipping edge cases (fully out of domain on either
-side, straddling one edge, inverted after clipping, fractional bounds
-between attribute values, open bounds, degenerate single-point ranges)
-and require bit-identical estimates *and* exact answers.
+The engine clips every group's ranges to the synopsis domain with one
+vectorised ``clip_range_many`` call, for ``execute_batch`` and for
+``execute`` (a batch of one) alike.  The reference in
+:mod:`tests.engine.reference` clips each query with the scalar
+``clip_range`` instead.  The serve plane caches answers, so any
+divergence — however small — would poison the cache.  These tests sweep
+the clipping edge cases (fully out of domain on either side, straddling
+one edge, inverted after clipping, fractional bounds between attribute
+values, open bounds, degenerate single-point ranges) and require
+bit-identical estimates *and* exact answers from both entry points.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 from repro.engine import ApproximateQueryEngine, Table
 from repro.engine.engine import AggregateQuery
+from tests.engine.reference import reference_estimate, reference_exact
 
 DOMAIN_LOW = 10
 DOMAIN_HIGH = 90  # values lie in [10, 90]
@@ -85,26 +87,36 @@ def _edge_queries():
     return queries
 
 
+def _both_paths(engine, queries, **kwargs):
+    """``execute_batch`` and per-query ``execute`` results for ``queries``."""
+    return {
+        "execute_batch": engine.execute_batch(queries, **kwargs),
+        "execute": [engine.execute(query, **kwargs) for query in queries],
+    }
+
+
 def test_clip_edges_bit_identical_estimates(engine):
     queries = _edge_queries()
-    scalar = [engine.execute(query) for query in queries]
-    batch = engine.execute_batch(queries)
-    for query, expected, actual in zip(queries, scalar, batch):
-        assert actual.estimate == expected.estimate, (
-            f"{query.aggregate}({query.column}) on [{query.low}, {query.high}]: "
-            f"scalar {expected.estimate} != batch {actual.estimate}"
-        )
+    for path, results in _both_paths(engine, queries).items():
+        for query, result in zip(queries, results):
+            expected = reference_estimate(engine, query)
+            assert result.estimate == expected, (
+                f"{path} {query.aggregate}({query.column}) on "
+                f"[{query.low}, {query.high}]: reference {expected} != "
+                f"{result.estimate}"
+            )
 
 
 def test_clip_edges_bit_identical_exact_answers(engine):
     queries = _edge_queries()
-    scalar = [engine.execute(query, with_exact=True) for query in queries]
-    batch = engine.execute_batch(queries, with_exact=True)
-    for query, expected, actual in zip(queries, scalar, batch):
-        assert actual.exact == expected.exact, (
-            f"{query.aggregate}({query.column}) on [{query.low}, {query.high}]: "
-            f"scalar exact {expected.exact} != batch exact {actual.exact}"
-        )
+    for path, results in _both_paths(engine, queries, with_exact=True).items():
+        for query, result in zip(queries, results):
+            expected = reference_exact(engine, query)
+            assert result.exact == expected, (
+                f"{path} {query.aggregate}({query.column}) on "
+                f"[{query.low}, {query.high}]: reference exact {expected} != "
+                f"{result.exact}"
+            )
 
 
 def test_clip_edges_randomised_sweep(engine):
@@ -118,15 +130,15 @@ def test_clip_edges_randomised_sweep(engine):
         if rng.random() < 0.1:
             high = None
         queries.append(AggregateQuery("t", "v", aggregate, low, high))
-    scalar = [engine.execute(query) for query in queries]
-    batch = engine.execute_batch(queries)
-    assert [r.estimate for r in batch] == [r.estimate for r in scalar]
+    expected = [reference_estimate(engine, query) for query in queries]
+    for results in _both_paths(engine, queries).values():
+        assert [r.estimate for r in results] == expected
 
 
 def test_empty_after_clip_answers_are_zero(engine):
     for aggregate in ("count", "sum", "avg"):
         query = AggregateQuery("t", "v", aggregate, -100.0, -50.0)
-        scalar = engine.execute(query, with_exact=True)
-        batched = engine.execute_batch([query], with_exact=True)[0]
-        assert scalar.estimate == batched.estimate == 0.0
-        assert scalar.exact == batched.exact == 0.0
+        assert reference_estimate(engine, query) == 0.0
+        for (result,) in _both_paths(engine, [query], with_exact=True).values():
+            assert result.estimate == 0.0
+            assert result.exact == 0.0

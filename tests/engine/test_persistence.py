@@ -241,3 +241,37 @@ class TestShardedRoundTrip:
             AggregateQuery("sales", "price", "count", None, None), with_exact=True
         )
         assert result.estimate == result.exact
+
+
+class TestFloatValuedRoundTrip:
+    """Answers over a 2-decimal price column survive a save/load bitwise."""
+
+    @pytest.mark.parametrize("shards", [1, 8], ids=["monolithic", "sharded"])
+    def test_price_answers_bitwise_equal_after_load(self, tmp_path, shards):
+        rng = np.random.default_rng(61)
+        prices = rng.integers(100, 400, 6000) / 100.0  # 1.00 .. 3.99
+        engine = ApproximateQueryEngine()
+        engine.register_table(Table("shop", {"price": prices}))
+        engine.build_synopsis(
+            "shop", "price", method="sap1", budget_words=192, shards=shards
+        )
+        bounds = np.sort(rng.integers(90, 410, (60, 2)) / 100.0, axis=1)
+        queries = [
+            AggregateQuery("shop", "price", aggregate, float(low), float(high))
+            for aggregate in ("count", "sum", "avg")
+            for low, high in bounds
+        ] + [AggregateQuery("shop", "price", "sum", None, None)]
+        before = engine.execute_batch(queries)
+        path = tmp_path / "catalog.npz"
+        assert save_catalog(engine, path) == 1
+
+        fresh = ApproximateQueryEngine()
+        assert load_catalog(fresh, path) == 1
+        after = fresh.execute_batch(queries)
+        assert [r.estimate for r in after] == [r.estimate for r in before]
+        assert [r.synopsis_words for r in after] == [
+            r.synopsis_words for r in before
+        ]
+        assert [fresh.execute(q).estimate for q in queries] == [
+            r.estimate for r in before
+        ]

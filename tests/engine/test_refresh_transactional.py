@@ -100,3 +100,32 @@ def test_sharded_dirty_refresh_failure_keeps_entry_stale(broken_sap1):
         AggregateQuery("gamma", "v", "count", None, None), with_exact=True
     )
     assert result.estimate == result.exact == 4002
+
+
+def test_failing_first_entry_does_not_block_the_rest(broken_sap1):
+    # "alpha" sorts first and its sap1 rebuild fails; "beta" must still
+    # refresh, and the failure is re-raised once every entry was tried.
+    rng = np.random.default_rng(29)
+    engine = ApproximateQueryEngine(predict_errors=False)
+    engine.register_table(Table("alpha", {"v": rng.integers(0, 64, 4000)}))
+    engine.register_table(Table("beta", {"v": rng.integers(0, 64, 4000)}))
+    broken_sap1["broken"] = False
+    engine.build_synopsis("alpha", "v", method="sap1", budget_words=40)
+    engine.build_synopsis("beta", "v", method="a0", budget_words=40)
+    engine.append_rows("alpha", {"v": np.array([1, 2, 3])})
+    engine.append_rows("beta", {"v": np.array([4, 5, 6])})
+    broken_sap1["broken"] = True
+    base_rebuilds = engine.stats()["rebuilds"]
+    base_metric = engine.metrics.counter("rebuilds_total").value
+
+    with pytest.raises(RuntimeError, match="injected builder fault"):
+        engine.refresh_stale()
+
+    assert engine.stale_synopses() == [("alpha", "v")]
+    assert engine.stats()["rebuilds"] == base_rebuilds + 1
+    assert engine.metrics.counter("rebuilds_total").value == base_metric + 1
+    result = engine.execute(
+        AggregateQuery("beta", "v", "count", None, None), with_exact=True
+    )
+    assert result.degradation == "fresh"
+    assert result.estimate == result.exact == 4003

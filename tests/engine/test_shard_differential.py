@@ -4,8 +4,9 @@ For each registered builder the sharded composition must (a) answer
 shard-aligned ranges exactly — the decomposition identity makes them
 pure prefix-sum differences of frozen exact totals — (b) keep arbitrary
 ranges inside the deterministic error budget of the two boundary shards,
-and (c) return bit-identical answers down the scalar and batch engine
-paths, on integer-valued columns and on float-valued 2-decimal prices.
+and (c) answer through ``execute`` and ``execute_batch`` bit-identically
+to the per-query reference of :mod:`tests.engine.reference`, on
+integer-valued columns and on float-valued 2-decimal prices.
 Float-valued aligned ranges are the prefix-array difference bitwise,
 but that difference is only exact up to float rounding (it sums the
 shard totals in a different order than a scan does).
@@ -21,6 +22,7 @@ import pytest
 from repro.core.builders import BUILDER_REGISTRY
 from repro.engine import AggregateQuery, ApproximateQueryEngine, Table, build_sharded
 from repro.queries.workload import random_ranges
+from tests.engine.reference import reference_estimate
 
 SHARDS = 4
 UNSUPPORTED = {
@@ -132,8 +134,12 @@ def test_batch_path_matches_scalar_path(data, prices, method, column):
     ]
     batch_results = engine.execute_batch(queries)
     for query, batched in zip(queries, batch_results):
-        assert engine.execute(query).estimate == batched.estimate, (
-            f"{method}: batch diverged from scalar on {query}"
+        expected = reference_estimate(engine, query)
+        assert batched.estimate == expected, (
+            f"{method}: execute_batch diverged from the reference on {query}"
+        )
+        assert engine.execute(query).estimate == expected, (
+            f"{method}: execute diverged from the reference on {query}"
         )
 
 

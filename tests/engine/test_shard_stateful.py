@@ -1,7 +1,8 @@
 """Stateful lifecycle test: the synopsis catalog vs an exact model.
 
-A Hypothesis rule machine interleaves appends (in-domain and
-domain-extending), refreshes, shard compactions, scalar queries, and
+A Hypothesis rule machine interleaves appends (in-domain,
+domain-extending and hostile — rejected or, when empty, a no-op),
+refreshes, shard compactions, scalar queries, and
 batch queries against an engine whose synopsis budget is large enough
 for ``a0`` to be exact.  That turns every discrepancy into a lifecycle
 bug: the machine's model is the multiset of values frozen at the last
@@ -17,6 +18,7 @@ that answers interiors) mirror the frozen snapshot exactly.
 """
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -28,6 +30,8 @@ from hypothesis.stateful import (
 
 from repro.engine import AggregateQuery, ApproximateQueryEngine, Table
 from repro.engine.sharding import ShardedSynopsis
+from repro.errors import InvalidDataError
+from tests.helpers import HOSTILE_APPENDS
 
 DOMAIN = 20
 MAX_VALUE = 32  # domain-extending appends stay below this
@@ -94,6 +98,27 @@ class ShardLifecycleMachine(RuleBasedStateMachine):
             # dirty (values *inside* the frozen range may land on a dense
             # axis and dirty only their own shard, so no claim there).
             assert self.engine.dirty_shards()["t.v"] is None
+
+    @rule(kind=st.sampled_from(sorted(HOSTILE_APPENDS)))
+    def append_hostile(self, kind):
+        before = (
+            self.engine.table_version("t"),
+            self.engine.stale_synopses(),
+            self.engine.dirty_shards(),
+        )
+        rows = HOSTILE_APPENDS[kind]("v")
+        if kind == "empty":
+            self.engine.append_rows("t", rows)
+        else:
+            with pytest.raises(InvalidDataError):
+                self.engine.append_rows("t", rows)
+        after = (
+            self.engine.table_version("t"),
+            self.engine.stale_synopses(),
+            self.engine.dirty_shards(),
+        )
+        assert after == before
+        assert len(self.engine.table("t")) == len(self.live)
 
     @rule()
     def refresh(self):

@@ -140,6 +140,53 @@ class TestAccounting:
         directory = sharded.starts.size + sharded.totals.size
         assert sharded.storage_words() == per_shard + directory
 
+    def test_cached_storage_words_track_every_new_instance(self, data, sharded, tmp_path):
+        # The word count is computed once per frozen instance, so every
+        # path that produces a synopsis must leave it equal to the sum
+        # over its (possibly replaced) shards.
+        from repro.engine import (
+            ApproximateQueryEngine,
+            Table,
+            load_catalog,
+            save_catalog,
+        )
+
+        def per_shard_sum(synopsis):
+            return (
+                sum(e.storage_words() for e in synopsis.estimators)
+                + synopsis.starts.size
+                + synopsis.totals.size
+            )
+
+        refreshed = data.copy()
+        refreshed[:12] += 3.0
+        budgets = sharded.budgets.copy()
+        budgets[0] = 5  # one SAP1 bucket: fewer words than before
+        rebuilt = sharded.with_rebuilt_shards([0, 1], refreshed, budgets=budgets)
+        compacted = sharded.with_compacted_runs([(2, 5)], data)
+        for synopsis in (sharded, rebuilt, compacted):
+            assert synopsis.storage_words() == per_shard_sum(synopsis)
+        assert compacted.num_shards == 5
+        assert rebuilt.storage_words() != sharded.storage_words()
+
+        engine = ApproximateQueryEngine(predict_errors=False)
+        values = np.repeat(np.arange(data.size), data.astype(np.int64))
+        engine.register_table(Table("t", {"v": values}))
+        engine.build_synopsis("t", "v", method="sap1", budget_words=80, shards=8)
+        path = tmp_path / "catalog.npz"
+        save_catalog(engine, path)
+        fresh = ApproximateQueryEngine()
+        load_catalog(fresh, path)
+        original = engine._synopses[("t", "v")]
+        loaded = fresh._synopses[("t", "v")]
+        for before, after in (
+            (original.count_estimator, loaded.count_estimator),
+            (original.sum_estimator, loaded.sum_estimator),
+        ):
+            assert after is not before
+            assert after.storage_words() == per_shard_sum(after)
+            assert after.storage_words() == before.storage_words()
+
     def test_name_reports_shards_and_inner(self, sharded):
         assert sharded.name == f"sharded[8]x{sharded.estimators[0].name}"
 

@@ -153,3 +153,21 @@ def best_histogram_by_enumeration(data, max_buckets, make, evaluate):
         if score < best_score:
             best_score, best_lefts = score, lefts
     return best_score, best_lefts
+
+
+#: Hostile ``append_rows`` payloads for a one-column table, keyed by
+#: kind; each maps the column name to the rows dict.  Every kind but
+#: ``"empty"`` must be rejected with ``InvalidDataError``; an empty
+#: append is a no-op.  Either way no engine state may change.
+HOSTILE_APPENDS = {
+    "nan": lambda column: {column: [1.0, float("nan")]},
+    "inf": lambda column: {column: [float("inf")]},
+    "neg-inf": lambda column: {column: [2.0, float("-inf")]},
+    "empty": lambda column: {column: []},
+    "ragged": lambda column: {column: [[1, 2], [3]]},
+    "two-dimensional": lambda column: {column: [[1, 2], [3, 4]]},
+    "unknown-column": lambda column: {column: [1], "no_such_column": [1]},
+    "missing-column": lambda column: {"no_such_column": [1]},
+    "huge": lambda column: {column: [1e300]},
+    "huge-negative": lambda column: {column: [3.0, -1e18]},
+}

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.internal.dp as dp_module
-from repro.internal.dp import _fill_layer_scalar, interval_dp
+from repro.internal.dp import interval_dp
+from tests.kernel_oracles import fill_layer_scalar
 from tests.helpers import enumerate_lefts_at_most
 
 
@@ -157,7 +158,7 @@ class TestVectorisedFillDifferential:
 
     def _run_both(self, n, max_buckets, cost_row, combine, monkeypatch):
         vec = interval_dp(n, max_buckets, cost_row, combine=combine)
-        monkeypatch.setattr(dp_module, "_fill_layer", _fill_layer_scalar)
+        monkeypatch.setattr(dp_module, "_fill_layer", fill_layer_scalar)
         scalar = interval_dp(n, max_buckets, cost_row, combine=combine)
         return vec, scalar
 
@@ -207,7 +208,7 @@ class TestVectorisedFillDifferential:
 
         vec = interval_dp(n, max_buckets, cost_row, combine=combine)
         original = dp_module._fill_layer
-        dp_module._fill_layer = _fill_layer_scalar
+        dp_module._fill_layer = fill_layer_scalar
         try:
             scalar = interval_dp(n, max_buckets, cost_row, combine=combine)
         finally:

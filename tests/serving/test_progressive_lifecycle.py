@@ -13,6 +13,10 @@ stage-aware :class:`AnswerCache` writes, proving the token discipline:
 * a cached interval written under an old token is *never* served under
   the live token — a stale interval cannot survive a mutation.
 
+Hostile appends (NaN/inf, ragged, wrong columns, huge magnitudes) are
+interleaved too: each is rejected — an empty one is a no-op — without
+moving the token, so no session is invalidated by bad input.
+
 The machine also re-checks interval nesting on every successful step so
 mutations interleaved *between* stages cannot corrupt a still-valid
 chain.
@@ -26,10 +30,11 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.engine import ApproximateQueryEngine, Table
 from repro.engine.engine import AggregateQuery
-from repro.errors import RefinementInvalidatedError
+from repro.errors import InvalidDataError, RefinementInvalidatedError
 from repro.serving.answer_cache import AnswerCache
 from repro.serving.catalog import CatalogView
 from repro.serving.progressive import RefinementSession
+from tests.helpers import HOSTILE_APPENDS
 
 AGGREGATES = ("count", "sum", "avg")
 
@@ -118,6 +123,30 @@ class ProgressiveLifecycleMachine(RuleBasedStateMachine):
         before = self._token()
         self.engine.append_rows("t", {"x": rng.integers(0, 64, rows)})
         assert self._token() != before
+
+    @rule(kind=st.sampled_from(sorted(HOSTILE_APPENDS)))
+    def append_hostile(self, kind):
+        # Rejected (or, when empty, a no-op) before any state changes:
+        # the answer token must not move, so no session is invalidated.
+        before = (
+            self._token(),
+            self.engine.table_version("t"),
+            self.engine.stale_synopses(),
+            self.engine.dirty_shards(),
+        )
+        rows = HOSTILE_APPENDS[kind]("x")
+        if kind == "empty":
+            self.engine.append_rows("t", rows)
+        else:
+            with pytest.raises(InvalidDataError):
+                self.engine.append_rows("t", rows)
+        after = (
+            self._token(),
+            self.engine.table_version("t"),
+            self.engine.stale_synopses(),
+            self.engine.dirty_shards(),
+        )
+        assert after == before
 
     @rule()
     def refresh(self):
